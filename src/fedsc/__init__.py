@@ -51,8 +51,6 @@ from .model import (
     forward_features,
     forward_logits,
     init_params,
-    load_params,
-    save_params,
     sgd_step,
 )
 from .prototypes import (

@@ -83,7 +83,7 @@ class RunConfig:
     cpdr_weight: float = 1.0
     cpdr_norm: str = FederationConfig.cpdr_norm
     seed: int = 0
-    threads: int = 0  # 0 = available cores
+    threads: int = FederationConfig.threads
     out: str = "runs"
 
 
@@ -201,7 +201,7 @@ def _federation_config(cfg: RunConfig) -> FederationConfig:
         rpcl_weight=cfg.rpcl_weight,
         cpdr_weight=cfg.cpdr_weight,
         cpdr_norm=cfg.cpdr_norm,
-        threads=cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1),
+        threads=cfg.threads,
     )
 
 

@@ -197,7 +197,7 @@ def run_client(
                 cpdr_norm=config.cpdr_norm,
             )
             grads = backward(params, fb, breakdown.grad_z, breakdown.grad_logits)
-            params = sgd_step(params, grads, config.optimizer)
+            sgd_step(params, grads, config.optimizer)
             sums += (breakdown.ce, breakdown.rpcl, breakdown.cpdr, breakdown.total)
             batches += 1
 
@@ -250,9 +250,10 @@ def run_round(
 ) -> tuple[ServerState, RoundMetrics]:
     """One federated round: sample, train, aggregate, rebuild prototypes.
 
-    Clients run independently (optionally on a thread pool); aggregation and
-    the prototype rebuild walk clients in ascending id order, so results do
-    not depend on scheduling.
+    Clients run independently (on a thread pool when ``config.threads`` > 1);
+    updates are merged in the order of ``clients`` and the prototype rebuild
+    walks clients in ascending id order, so results do not depend on
+    scheduling.
     """
     start = time.perf_counter()
     state.round_index += 1
@@ -272,7 +273,6 @@ def run_round(
             updates = list(pool.map(train, chosen))
     else:
         updates = [train(c) for c in chosen]
-    updates.sort(key=lambda u: u.client_id)
 
     state.params = aggregate_models([(u.params, u.num_samples) for u in updates])
     for update, client in zip(updates, chosen):

@@ -238,6 +238,8 @@ def _rpcl_batch(
     rn = np.linalg.norm(r_flat, axis=1)
     if (rn < _EPS).any():
         raise DegenerateVectorError("zero-norm relational prototype")
+    if (u_flat <= 0).any():
+        raise InvalidArgumentError("normalizer u must be > 0")
     z_hat = z / zn[:, None]
     r_hat = r_flat / rn[:, None]
     cos = z_hat @ r_hat.T                       # (n, P)

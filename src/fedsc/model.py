@@ -1,5 +1,5 @@
 """Two-layer ReLU MLP feature extractor plus linear classifier, trained by
-hand-derived backprop and SGD with momentum.
+hand-derived backprop and SGD with momentum, applied in place.
 
 The feature extractor maps inputs x to z = W2 relu(W1 x + b1) + b2; the
 classifier maps z to logits = V z + c.  All arithmetic is float64.
@@ -7,7 +7,6 @@ classifier maps z to logits = V z + c.  All arithmetic is float64.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,16 +14,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
-    MalformedHeaderError,
     NonfiniteGradientError,
     ShapeMismatchError,
-    TruncatedFileError,
 )
 
-_MAGIC = b"FSP1"
-_HEADER = struct.Struct("<4sIIII")
-
-# weight fields in declaration (and checkpoint) order
+# weight fields in declaration order
 _FIELDS = ("w1", "b1", "w2", "b2", "v", "c")
 
 
@@ -218,30 +212,26 @@ def backward(
     gw1 = batch.inputs.T @ gpre1
     gb1 = gpre1.sum(axis=0)
 
-    grads = Gradients(gw1, gb1, gw2, gb2, gv, gc)
-    if not np.isfinite(grads.flat()).all():
-        raise NonfiniteGradientError("gradient contains NaN or Inf")
-    return grads
+    return Gradients(gw1, gb1, gw2, gb2, gv, gc)
 
 
-def sgd_step(
-    params: ModelParams, grads: Gradients, config: OptimizerConfig
-) -> ModelParams:
-    """One SGD-with-momentum update; weight decay is added to the gradient.
+def sgd_step(params: ModelParams, grads: Gradients, config: OptimizerConfig) -> None:
+    """One SGD-with-momentum update, in place; weight decay is added to the
+    gradient.
 
     buf <- momentum * buf + (grad + weight_decay * param)
     param <- param - learning_rate * buf
+
+    A gradient holding NaN or Inf raises before any weight or buffer changes.
     """
     if not np.isfinite(grads.flat()).all():
         raise NonfiniteGradientError("gradient contains NaN or Inf")
-    new = params.copy()
     for name in _FIELDS:
-        p = getattr(new, name)
-        g = getattr(grads, name) + config.weight_decay * p
-        buf = config.momentum * new.momentum[name] + g
-        new.momentum[name] = buf
-        setattr(new, name, p - config.learning_rate * buf)
-    return new
+        p = getattr(params, name)
+        buf = params.momentum[name]
+        buf *= config.momentum
+        buf += getattr(grads, name) + config.weight_decay * p
+        p -= config.learning_rate * buf
 
 
 def evaluate_accuracy(params: ModelParams, features: np.ndarray,
@@ -250,46 +240,3 @@ def evaluate_accuracy(params: ModelParams, features: np.ndarray,
     z = forward_features(params, features).z
     pred = np.argmax(forward_logits(params, z), axis=1) + 1
     return float(np.mean(pred == np.asarray(labels)))
-
-
-def save_params(path, params: ModelParams) -> None:
-    """Write the FSP1 container: dims header, then f32 weights and momentum
-    buffers in declaration order."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, params.d_in, params.hidden,
-                              params.feature_dim, params.num_classes))
-        for name in _FIELDS:
-            fh.write(getattr(params, name).astype("<f4").tobytes())
-        for name in _FIELDS:
-            fh.write(params.momentum[name].astype("<f4").tobytes())
-
-
-def load_params(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise MalformedHeaderError(f"{path}: header truncated at {len(raw)} bytes")
-    magic, d_in, hidden, feature_dim, num_classes = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise MalformedHeaderError(f"{path}: bad magic {magic!r}")
-    if min(d_in, hidden, feature_dim, num_classes) < 1:
-        raise DimensionMismatchError(f"{path}: header declares a zero dimension")
-    shapes = [
-        (d_in, hidden), (hidden,), (hidden, feature_dim), (feature_dim,),
-        (feature_dim, num_classes), (num_classes,),
-    ]
-    total = sum(int(np.prod(s)) for s in shapes)
-    expected = _HEADER.size + 2 * total * 4
-    if len(raw) != expected:
-        raise TruncatedFileError(
-            f"{path}: expected {expected} bytes, found {len(raw)}"
-        )
-    flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    arrays = []
-    at = 0
-    for shape in shapes + shapes:
-        size = int(np.prod(shape))
-        arrays.append(flat[at : at + size].reshape(shape))
-        at += size
-    momentum = dict(zip(_FIELDS, arrays[6:]))
-    return ModelParams(*arrays[:6], momentum)

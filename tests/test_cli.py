@@ -114,6 +114,15 @@ class TestRun:
         assert stable_rows(tmp_path / "a" / "metrics_fedsc.csv") \
             == stable_rows(tmp_path / "b" / "metrics_fedsc.csv")
 
+    def test_default_is_one_thread_and_zero_is_rejected(self, tmp_path):
+        at = TINY.index("--threads")
+        unpinned = TINY[:at] + TINY[at + 2:]
+        tiny_generate(tmp_path)
+        assert run_cli("run", *unpinned, "--out", str(tmp_path)) == 0
+        meta = parse_kv((tmp_path / "meta_fedsc.txt").read_text())
+        assert meta["threads"] == "1"
+        assert tiny_run(tmp_path, ("--threads", "0")) == 2
+
     def test_repeat_run_bitwise_identical(self, tmp_path):
         tiny_generate(tmp_path / "a")
         tiny_generate(tmp_path / "b")

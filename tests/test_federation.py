@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
-from fedsc.data import PartitionConfig, generate_gaussian_blobs, split_holdout
+from fedsc.data import (
+    PartitionConfig,
+    generate_gaussian_blobs,
+    partition_dataset,
+    split_holdout,
+)
 from fedsc.errors import InvalidArgumentError, MalformedCsvError
 from fedsc.federation import (
     CSV_HEADER,
     FederationConfig,
     RoundMetrics,
+    ServerState,
     aggregate_models,
     read_metrics_csv,
     rounds_to_accuracy,
     run_client,
     run_experiment,
+    run_round,
     write_metrics_csv,
     write_run_metadata,
 )
@@ -134,6 +141,22 @@ class TestAggregateModels:
         params = init_params(3, 4, 3, 2, seed=0)
         with pytest.raises(InvalidArgumentError):
             aggregate_models([(params, 0)])
+
+
+class TestRunRound:
+    def test_reports_keep_their_client_when_not_in_id_order(self):
+        ds = small_dataset()
+        clients = partition_dataset(ds, small_partition())
+        state = ServerState(init_params(4, 8, 6, 3, seed=0))
+        run_round(state, clients[::-1], small_config(rounds=1),
+                  np.random.default_rng(0), ds)
+        assert sorted(state.latest_class_counts) == [c.client_id for c in clients]
+        for client in clients:
+            counts = state.latest_class_counts[client.client_id]
+            assert np.array_equal(counts, client.class_counts)
+            protos = state.latest_prototypes[client.client_id]
+            assert protos.owner == client.client_id
+            assert np.array_equal(protos.present, counts > 0)
 
 
 class TestRunExperiment:

@@ -320,6 +320,19 @@ class TestTotalLoss:
             scaled.ce + scaled.rpcl + scaled.cpdr, abs=1e-12
         )
 
+    def test_rejects_nonpositive_normalizer_like_reference(self):
+        params, batch, rel, consistent, ctx = self.setup_case(seed=7)
+        # an invalid entry's normalizer is never used
+        ctx.valid[1, 0] = False
+        ctx.u[1, 0] = 0.0
+        out = total_loss(batch, rel, consistent, ctx, params)
+        assert np.isfinite(out.rpcl)
+        ctx.u[0, 1] = 0.0
+        with pytest.raises(InvalidArgumentError):
+            rpcl_loss_and_grad(batch.z[0], 1, rel, ctx)
+        with pytest.raises(InvalidArgumentError):
+            total_loss(batch, rel, consistent, ctx, params)
+
     def test_without_prototypes_reduces_to_ce(self):
         params, batch, _, _, _ = self.setup_case(seed=6)
         out = total_loss(batch, None, None, None, params)

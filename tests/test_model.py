@@ -1,6 +1,4 @@
-"""MLP forward/backward, the optimizer, and the FSP1 checkpoint format."""
-
-import struct
+"""MLP forward/backward and the in-place momentum-SGD optimizer."""
 
 import numpy as np
 import pytest
@@ -8,10 +6,8 @@ import pytest
 from fedsc.errors import (
     DimensionMismatchError,
     InvalidArgumentError,
-    MalformedHeaderError,
     NonfiniteGradientError,
     ShapeMismatchError,
-    TruncatedFileError,
 )
 from fedsc.losses import total_loss
 from fedsc.model import (
@@ -23,8 +19,6 @@ from fedsc.model import (
     forward_features,
     forward_logits,
     init_params,
-    load_params,
-    save_params,
     sgd_step,
 )
 
@@ -160,15 +154,11 @@ class TestBackward:
         only_l = backward(params, batch, None, gl)
         assert np.allclose(both.flat(), only_z.flat() + only_l.flat())
 
-    def test_shape_and_finite_checks(self):
+    def test_shape_check(self):
         params = tiny_params()
         batch = tiny_batch(params)
         with pytest.raises(ShapeMismatchError):
             backward(params, batch, np.zeros((1, 1)), None)
-        bad = np.full(batch.z.shape, np.inf)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NonfiniteGradientError):
-                backward(params, batch, bad, None)
 
 
 class TestSgdStep:
@@ -184,33 +174,52 @@ class TestSgdStep:
         buf2 = 0.8 * buf1 + (1.0 + 0.01 * p1)
         p2 = p1 - 0.1 * buf2
 
-        step1 = sgd_step(params, g, config)
-        step2 = sgd_step(step1, g, config)
-        assert np.allclose(step1.w1, p1)
-        assert np.allclose(step1.momentum["w1"], buf1)
-        assert np.allclose(step2.w1, p2)
+        assert sgd_step(params, g, config) is None
+        assert np.allclose(params.w1, p1)
+        assert np.allclose(params.momentum["w1"], buf1)
+        sgd_step(params, g, config)
+        assert np.allclose(params.w1, p2)
+        assert np.allclose(params.momentum["w1"], buf2)
 
     def test_does_not_mutate_input(self):
+        # the weights and momentum change in place; the gradients must not
         params = tiny_params()
-        frozen = params.flat().copy()
-        g = Gradients(*(np.ones_like(getattr(params, f)) for f in _FIELDS))
-        sgd_step(params, g, OptimizerConfig())
-        assert np.array_equal(params.flat(), frozen)
-        assert all((b == 0).all() for b in params.momentum.values())
+        g = Gradients(*(np.full_like(getattr(params, f), 0.5) for f in _FIELDS))
+        frozen = g.flat().copy()
+        sgd_step(params, g, OptimizerConfig(momentum=0.9, weight_decay=0.1))
+        sgd_step(params, g, OptimizerConfig(momentum=0.9, weight_decay=0.1))
+        assert np.array_equal(g.flat(), frozen)
+        for name in _FIELDS:
+            assert not np.shares_memory(params.momentum[name], getattr(g, name))
 
     def test_zero_momentum_is_plain_sgd(self):
         config = OptimizerConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.0)
         params = tiny_params()
+        expected = params.w1 - 1.0
         g = Gradients(*(2 * np.ones_like(getattr(params, f)) for f in _FIELDS))
-        stepped = sgd_step(params, g, config)
-        assert np.allclose(stepped.w1, params.w1 - 1.0)
+        sgd_step(params, g, config)
+        assert np.allclose(params.w1, expected)
 
     def test_rejects_nonfinite(self):
         params = tiny_params()
+        params.momentum["c"] += 0.5
+        weights = params.flat().copy()
+        momentum = {k: v.copy() for k, v in params.momentum.items()}
+        # the bad entry sits in the last field, after five finite ones
         arrays = [np.ones_like(getattr(params, f)) for f in _FIELDS]
-        arrays[0] = np.full_like(arrays[0], np.nan)
+        arrays[-1] = np.full_like(arrays[-1], np.nan)
         with pytest.raises(NonfiniteGradientError):
             sgd_step(params, Gradients(*arrays), OptimizerConfig())
+        # backward leaves the check to sgd_step
+        batch = tiny_batch(params)
+        bad = np.full(batch.z.shape, np.inf)
+        with np.errstate(invalid="ignore"):
+            grads = backward(params, batch, bad, None)
+            with pytest.raises(NonfiniteGradientError):
+                sgd_step(params, grads, OptimizerConfig())
+        assert np.array_equal(params.flat(), weights)
+        for name in _FIELDS:
+            assert np.array_equal(params.momentum[name], momentum[name])
 
     def test_optimizer_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -262,42 +271,3 @@ class TestEvaluateAccuracy:
         z = forward_features(params, x).z
         pred = np.argmax(forward_logits(params, z), axis=1) + 1
         assert evaluate_accuracy(params, x, y) == pytest.approx(np.mean(pred == y))
-
-
-class TestFsp1Format:
-    def test_roundtrip_after_training_step(self, tmp_path):
-        params = tiny_params(seed=11)
-        g = Gradients(*(np.full_like(getattr(params, f), 0.25) for f in _FIELDS))
-        params = sgd_step(params, g, OptimizerConfig())
-        path = tmp_path / "model.fsp"
-        save_params(path, params)
-        back = load_params(path)
-        for name in _FIELDS:
-            stored = getattr(params, name).astype("<f4").astype(np.float64)
-            assert np.array_equal(getattr(back, name), stored)
-            buf = params.momentum[name].astype("<f4").astype(np.float64)
-            assert np.array_equal(back.momentum[name], buf)
-
-    def test_header_layout(self, tmp_path):
-        params = init_params(3, 4, 2, 5, seed=0)
-        path = tmp_path / "model.fsp"
-        save_params(path, params)
-        raw = path.read_bytes()
-        assert raw[:4] == b"FSP1"
-        assert struct.unpack_from("<IIII", raw, 4) == (3, 4, 2, 5)
-        total = 3 * 4 + 4 + 4 * 2 + 2 + 2 * 5 + 5
-        assert len(raw) == 20 + 2 * total * 4
-
-    def test_bad_magic_and_truncation(self, tmp_path):
-        params = tiny_params()
-        path = tmp_path / "model.fsp"
-        save_params(path, params)
-        raw = path.read_bytes()
-        bad = tmp_path / "bad.fsp"
-        bad.write_bytes(b"XXXX" + raw[4:])
-        with pytest.raises(MalformedHeaderError):
-            load_params(bad)
-        short = tmp_path / "short.fsp"
-        short.write_bytes(raw[:-4])
-        with pytest.raises(TruncatedFileError):
-            load_params(short)
