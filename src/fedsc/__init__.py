@@ -43,7 +43,6 @@ from .losses import (
 )
 from .model import (
     FeatureBatch,
-    Gradients,
     ModelParams,
     OptimizerConfig,
     backward,

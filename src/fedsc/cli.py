@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -122,11 +123,11 @@ def _coerce(field_name: str, raw: str):
 def _load_config_file(path: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise InvalidConfigError(f"cannot read config file: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise InvalidConfigError(f"cannot parse config file: {exc}") from exc
     out = {}
     for section in parser.sections():
@@ -164,6 +165,9 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         cfg = RunConfig(**values)
     except TypeError as exc:
         raise InvalidConfigError(str(exc)) from exc
+    for name, kind in _FIELD_TYPES.items():
+        if kind == "float" and not math.isfinite(getattr(cfg, name)):
+            raise InvalidConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     try:
         # validate derived configs eagerly so bad values exit as config errors
         _partition_config(cfg)
@@ -283,9 +287,9 @@ _CONSTANT_KEYS = {
 def _load_constants(path: str) -> dict:
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConstantsError(f"cannot read constants file: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -301,6 +305,8 @@ def _load_constants(path: str) -> dict:
             values[key] = _CONSTANT_KEYS[key](raw)
         except ValueError as exc:
             raise InvalidConstantsError(f"line {lineno}: {exc}") from exc
+        if _CONSTANT_KEYS[key] is float and not math.isfinite(values[key]):
+            raise InvalidConstantsError(f"line {lineno}: {key} must be finite")
     return values
 
 

@@ -401,9 +401,9 @@ def load_dataset(path) -> Dataset:
         raise TruncatedFileError(
             f"{path}: expected {expected} bytes for {n} samples, found {len(raw)}"
         )
-    record = np.dtype([("x", "<f4", (dim,)), ("y", "<u4")])
-    body = np.frombuffer(raw, dtype=record, offset=_HEADER.size)
+    # each record is dim float32 features then a uint32 label, 4 bytes a word
+    words = np.frombuffer(raw, dtype="<u4", offset=_HEADER.size).reshape(n, dim + 1)
     # frombuffer views are read-only; copy into owned arrays
-    features = np.array(body["x"].reshape(n, dim), dtype=np.float32)
-    labels = body["y"].astype(np.int64)
+    features = words[:, :dim].view("<f4").astype(np.float32)
+    labels = words[:, dim].astype(np.int64)
     return Dataset(features, labels, num_classes)

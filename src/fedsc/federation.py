@@ -224,13 +224,10 @@ def aggregate_models(
         raise InvalidArgumentError("sample counts must be positive")
     weights = counts / counts.sum()
     base = contributions[0][0]
-    out = base.copy(reset_momentum=True)
-    for name, value in out.weights().items():
-        acc = value.copy()
-        for (params, _), w in zip(contributions, weights):
-            acc += w * (getattr(params, name) - value)
-        setattr(out, name, acc)
-    return out
+    acc = base.flat.copy()
+    for (params, _), w in zip(contributions, weights):
+        acc += w * (params.flat - base.flat)
+    return base.with_flat(acc)
 
 
 def _rebuild_collaboration(state: ServerState, config: FederationConfig) -> None:
@@ -347,8 +344,11 @@ def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
 
 
 def read_metrics_csv(path) -> list[RoundMetrics]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedCsvError(f"{path}: {exc}") from exc
     if not rows or rows[0] != CSV_HEADER:
         raise MalformedCsvError(f"{path}: missing or wrong header")
     out = []

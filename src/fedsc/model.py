@@ -2,12 +2,14 @@
 hand-derived backprop and SGD with momentum, applied in place.
 
 The feature extractor maps inputs x to z = W2 relu(W1 x + b1) + b2; the
-classifier maps z to logits = V z + c.  All arithmetic is float64.
+classifier maps z to logits = V z + c.  All arithmetic is float64.  The
+weights, the momentum and each gradient are one flat vector apiece, with the
+layers as named views into it, so the optimizer works on whole vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,35 +24,49 @@ from .errors import (
 _FIELDS = ("w1", "b1", "w2", "b2", "v", "c")
 
 
-@dataclass
 class ModelParams:
-    """Extractor and classifier weights plus SGD momentum buffers."""
+    """Extractor and classifier weights as named views into one flat vector.
 
-    w1: np.ndarray  # (d_in, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, d)
-    b2: np.ndarray  # (d,)
-    v: np.ndarray   # (d, num_classes)
-    c: np.ndarray   # (num_classes,)
-    momentum: dict[str, np.ndarray] = field(default_factory=dict)
+    ``flat`` holds w1 b1 w2 b2 v c back to back in declaration order and
+    each named field is a view into it, so an in-place write to either shows
+    in both (rebinding a field detaches it).  ``momentum`` is the SGD
+    momentum buffer in the same layout.  ``backward`` returns gradients in
+    this type as well.
+    """
 
-    def __post_init__(self):
-        for name in _FIELDS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.w1.ndim != 2 or self.w2.ndim != 2 or self.v.ndim != 2:
+    def __init__(self, w1, b1, w2, b2, v, c):
+        arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2, v, c)]
+        w1, b1, w2, b2, v, c = arrays
+        if w1.ndim != 2 or w2.ndim != 2 or v.ndim != 2:
             raise ShapeMismatchError("weight matrices must be 2-d")
         if (
-            self.b1.shape != (self.w1.shape[1],)
-            or self.w2.shape[0] != self.w1.shape[1]
-            or self.b2.shape != (self.w2.shape[1],)
-            or self.v.shape[0] != self.w2.shape[1]
-            or self.c.shape != (self.v.shape[1],)
+            b1.shape != (w1.shape[1],)
+            or w2.shape[0] != w1.shape[1]
+            or b2.shape != (w2.shape[1],)
+            or v.shape[0] != w2.shape[1]
+            or c.shape != (v.shape[1],)
         ):
             raise ShapeMismatchError("inconsistent parameter shapes")
-        if not self.momentum:
-            self.momentum = {
-                name: np.zeros_like(getattr(self, name)) for name in _FIELDS
-            }
+        # (field, its slice of flat, its shape), worked out once per layout
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        self._layout = tuple(
+            (name, slice(end - a.size, end), a.shape)
+            for name, a, end in zip(_FIELDS, arrays, ends)
+        )
+        self._bind(np.concatenate([a.ravel() for a in arrays]))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self.momentum = np.zeros(flat.size)
+        for name, part, shape in self._layout:
+            setattr(self, name, flat[part].reshape(shape))
+
+    def with_flat(self, flat: np.ndarray) -> "ModelParams":
+        """A model of this layout on ``flat`` (not copied), zero momentum."""
+        out = object.__new__(ModelParams)
+        out._layout = self._layout
+        out._bind(flat)
+        return out
 
     @property
     def d_in(self) -> int:
@@ -69,36 +85,13 @@ class ModelParams:
         return self.v.shape[1]
 
     def copy(self, reset_momentum: bool = False) -> "ModelParams":
-        momentum = (
-            {} if reset_momentum
-            else {k: v.copy() for k, v in self.momentum.items()}
-        )
-        return ModelParams(*(getattr(self, f).copy() for f in _FIELDS), momentum)
+        out = self.with_flat(self.flat.copy())
+        if not reset_momentum:
+            out.momentum[:] = self.momentum
+        return out
 
     def weights(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _FIELDS}
-
-    def flat(self) -> np.ndarray:
-        """All weights (no momentum) concatenated, in declaration order."""
-        return np.concatenate([getattr(self, f).ravel() for f in _FIELDS])
-
-    def extractor_flat(self) -> np.ndarray:
-        return np.concatenate([getattr(self, f).ravel() for f in _FIELDS[:4]])
-
-
-@dataclass
-class Gradients:
-    """Per-parameter loss gradients, same shapes as the weights."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    v: np.ndarray
-    c: np.ndarray
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([getattr(self, f).ravel() for f in _FIELDS])
+        return dict(zip(_FIELDS, (self.w1, self.b1, self.w2, self.b2, self.v, self.c)))
 
 
 @dataclass
@@ -179,21 +172,20 @@ def backward(
     batch: FeatureBatch,
     grad_z: np.ndarray | None,
     grad_logits: np.ndarray | None,
-) -> Gradients:
+) -> ModelParams:
     """Backpropagate upstream feature and logit gradients to the parameters.
 
     ``grad_z`` hits the extractor output directly; ``grad_logits`` flows
     through the classifier and then into the extractor as well.  Either may
-    be None, meaning zero.
+    be None, meaning zero.  The gradients come back in ``params``' layout.
     """
     n = batch.z.shape[0]
     gz = np.zeros_like(batch.z) if grad_z is None else np.asarray(grad_z, np.float64)
     if gz.shape != batch.z.shape:
         raise ShapeMismatchError(f"grad_z shape {gz.shape} != {batch.z.shape}")
 
+    grads = params.with_flat(np.zeros(params.flat.size))
     if grad_logits is None:
-        gv = np.zeros_like(params.v)
-        gc = np.zeros_like(params.c)
         gz_total = gz
     else:
         gl = np.asarray(grad_logits, dtype=np.float64)
@@ -201,21 +193,21 @@ def backward(
             raise ShapeMismatchError(
                 f"grad_logits shape {gl.shape} != {(n, params.num_classes)}"
             )
-        gv = batch.z.T @ gl
-        gc = gl.sum(axis=0)
+        np.matmul(batch.z.T, gl, out=grads.v)
+        gl.sum(axis=0, out=grads.c)
         gz_total = gz + gl @ params.v.T
 
-    gw2 = batch.act1.T @ gz_total
-    gb2 = gz_total.sum(axis=0)
+    np.matmul(batch.act1.T, gz_total, out=grads.w2)
+    gz_total.sum(axis=0, out=grads.b2)
     ga1 = gz_total @ params.w2.T
     gpre1 = ga1 * (batch.pre1 > 0.0)
-    gw1 = batch.inputs.T @ gpre1
-    gb1 = gpre1.sum(axis=0)
+    np.matmul(batch.inputs.T, gpre1, out=grads.w1)
+    gpre1.sum(axis=0, out=grads.b1)
+    return grads
 
-    return Gradients(gw1, gb1, gw2, gb2, gv, gc)
 
-
-def sgd_step(params: ModelParams, grads: Gradients, config: OptimizerConfig) -> None:
+def sgd_step(params: ModelParams, grads: ModelParams,
+             config: OptimizerConfig) -> None:
     """One SGD-with-momentum update, in place; weight decay is added to the
     gradient.
 
@@ -224,14 +216,12 @@ def sgd_step(params: ModelParams, grads: Gradients, config: OptimizerConfig) -> 
 
     A gradient holding NaN or Inf raises before any weight or buffer changes.
     """
-    if not np.isfinite(grads.flat()).all():
+    if not np.isfinite(grads.flat).all():
         raise NonfiniteGradientError("gradient contains NaN or Inf")
-    for name in _FIELDS:
-        p = getattr(params, name)
-        buf = params.momentum[name]
-        buf *= config.momentum
-        buf += getattr(grads, name) + config.weight_decay * p
-        p -= config.learning_rate * buf
+    buf = params.momentum
+    buf *= config.momentum
+    buf += grads.flat + config.weight_decay * params.flat
+    params.flat -= config.learning_rate * buf
 
 
 def evaluate_accuracy(params: ModelParams, features: np.ndarray,

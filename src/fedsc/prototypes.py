@@ -176,26 +176,24 @@ def angular_differences(
     """Cosine similarity phi[j, k] between g_j and client k's prototype.
 
     Entries are valid where the client holds the class and the class has
-    global support.  A zero-norm prototype on a valid entry is degenerate.
+    global support.  A zero-norm prototype on a valid entry is degenerate;
+    the error names the first such entry in client-major order.
     """
-    g = global_prototypes.vectors
-    num_classes = g.shape[0]
-    num_clients = len(sets)
-    phi = np.zeros((num_classes, num_clients))
-    valid = np.zeros((num_classes, num_clients), dtype=bool)
+    g = global_prototypes.vectors                       # (C, d)
+    vectors = np.stack([s.vectors for s in sets])       # (K, C, d)
+    present = np.stack([s.present for s in sets])       # (K, C)
+    valid = present & (global_prototypes.support_count > 0)
     g_norm = np.linalg.norm(g, axis=1)
-    for k, s in enumerate(sets):
-        for j in range(num_classes):
-            if not s.present[j] or global_prototypes.support_count[j] == 0:
-                continue
-            c_norm = np.linalg.norm(s.vectors[j])
-            if g_norm[j] < _EPS or c_norm < _EPS:
-                raise DegeneratePrototypeError(
-                    f"zero-norm prototype for class {j + 1}, client {s.owner or k + 1}"
-                )
-            phi[j, k] = float(g[j] @ s.vectors[j] / (g_norm[j] * c_norm))
-            valid[j, k] = True
-    return AngularTable(phi, valid)
+    c_norm = np.linalg.norm(vectors, axis=2)
+    degenerate = valid & ((g_norm < _EPS) | (c_norm < _EPS))
+    if degenerate.any():
+        k, j = np.argwhere(degenerate)[0]
+        raise DegeneratePrototypeError(
+            f"zero-norm prototype for class {j + 1}, client {sets[k].owner or k + 1}"
+        )
+    dots = np.einsum("jd,kjd->kj", g, vectors)
+    phi = np.divide(dots, g_norm * c_norm, out=np.zeros_like(dots), where=valid)
+    return AngularTable(phi.T, valid.T)
 
 
 def build_adjacency(table: AngularTable, neighbors: int) -> AdjacencyTensor:
@@ -210,16 +208,19 @@ def build_adjacency(table: AngularTable, neighbors: int) -> AdjacencyTensor:
     num_classes, num_clients = table.phi.shape
     a = np.zeros((num_classes, num_clients, num_clients), dtype=np.uint8)
     for j in range(num_classes):
-        valid_idx = np.flatnonzero(table.valid[j])
-        for k in valid_idx:
-            a[j, k, k] = 1
-            others = valid_idx[valid_idx != k]
-            if others.size == 0 or neighbors == 0:
-                continue
-            diffs = np.abs(table.phi[j, others] - table.phi[j, k])
-            order = np.argsort(diffs, kind="stable")
-            for q in others[order[: min(neighbors, others.size)]]:
-                a[j, k, q] = 1
+        idx = np.flatnonzero(table.valid[j])
+        take = min(neighbors, idx.size - 1)
+        if take > 0:
+            phi = table.phi[j, idx]
+            diffs = np.abs(phi[None, :] - phi[:, None])  # row k: |phi_q - phi_k|
+            np.fill_diagonal(diffs, np.inf)              # never its own neighbour
+            # what a stable sort would put first: every difference below the
+            # take-th smallest, then ties at it in ascending client order
+            cut = np.partition(diffs, take - 1, axis=1)[:, take - 1, None]
+            below, tied = diffs < cut, diffs == cut
+            room = take - below.sum(axis=1, keepdims=True)
+            a[j][np.ix_(idx, idx)] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        a[j, idx, idx] = 1
     return AdjacencyTensor(a)
 
 
@@ -232,35 +233,35 @@ def relational_prototypes(
         raise DimensionMismatchError(
             f"adjacency covers {num_clients} clients, got {len(sets)} sets"
         )
-    d = sets[0].vectors.shape[1]
-    vectors = np.stack([s.vectors for s in sets])  # (K, C, d)
-    r = np.zeros((num_classes, num_clients, d))
-    valid = np.zeros((num_classes, num_clients), dtype=bool)
-    for j in range(num_classes):
-        for k in range(num_clients):
-            row = adjacency.a[j, k]
-            count = int(row.sum())
-            if count == 0:
-                continue
-            r[j, k] = (row[:, None] * vectors[:, j, :]).sum(axis=0) / count
-            valid[j, k] = True
+    columns = np.stack([s.vectors for s in sets]).T  # (d, C, K)
+    linked = adjacency.a != 0
+    count = linked.sum(axis=2)                        # (C, K)
+    valid = count > 0
+    r = np.zeros((num_classes, num_clients, columns.shape[0]))
+    if valid.any():
+        # neighbour entries in C order, so grouped by (class, client)
+        flat = np.flatnonzero(linked)
+        j, q = flat // num_clients**2, flat % num_clients
+        sizes = count[valid]
+        sums = np.add.reduceat(columns[:, j, q], np.cumsum(sizes) - sizes, axis=1)
+        r[valid] = (sums / sizes).T
     return RelationalSet(r, valid)
 
 
-def client_discrepancy(class_counts: np.ndarray) -> float:
+def client_discrepancy(class_counts: np.ndarray) -> float | np.ndarray:
     """Distance of a client's label histogram from uniform.
 
     d = sqrt(0.5 * sum_j (n_j / n - 1/|C|)^2); 0 for a perfectly balanced
     client, approaching sqrt((|C| - 1) / (2 |C|)) as it concentrates on one
-    class.
+    class.  A (num_clients, num_classes) table gives one value per row.
     """
     counts = np.asarray(class_counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
+    total = counts.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise EmptyClientError("client has no samples")
     ratios = counts / total
-    uniform = 1.0 / counts.size
-    return float(np.sqrt(0.5 * np.sum((ratios - uniform) ** 2)))
+    uniform = 1.0 / counts.shape[-1]
+    return np.sqrt(0.5 * np.sum((ratios - uniform) ** 2, axis=-1))
 
 
 def aggregation_weights(
@@ -293,25 +294,20 @@ def consistent_prototypes(
 ) -> ConsistentSet:
     """Weighted average of relational prototypes across clients, per class.
 
-    Clients lacking a class are excluded and the remaining weights are
+    Clients lacking a class get zero weight and the remaining weights are
     renormalized for that class.
     """
     num_classes, num_clients, d = relational.r.shape
     if weights.weights.shape != (num_clients,):
         raise DimensionMismatchError("weights do not match the client axis")
-    o = np.zeros((num_classes, d))
-    present = np.zeros(num_classes, dtype=bool)
-    for j in range(num_classes):
-        mask = relational.valid[j]
-        w_total = weights.weights[mask].sum()
-        if not mask.any() or w_total <= 0:
-            if allow_missing:
-                continue
-            raise ClassUnsupportedError(f"no relational prototype for class {j + 1}")
-        w = weights.weights[mask] / w_total
-        o[j] = w @ relational.r[j, mask]
-        present[j] = True
-    return ConsistentSet(o, present)
+    w = np.where(relational.valid, weights.weights, 0.0)   # (C, K)
+    w_total = w.sum(axis=1)
+    present = w_total > 0
+    if not allow_missing and not present.all():
+        missing = int(np.flatnonzero(~present)[0]) + 1
+        raise ClassUnsupportedError(f"no relational prototype for class {missing}")
+    w = np.divide(w, w_total[:, None], out=np.zeros_like(w), where=present[:, None])
+    return ConsistentSet(np.einsum("jk,jkd->jd", w, relational.r), present)
 
 
 def build_collaboration(
@@ -335,8 +331,7 @@ def build_collaboration(
     angular = angular_differences(global_prototypes, sets)
     adjacency = build_adjacency(angular, neighbors)
     relational = relational_prototypes(adjacency, sets)
-    discrepancies = np.array([client_discrepancy(row) for row in counts])
-    weights = aggregation_weights(counts.sum(axis=1), discrepancies)
+    weights = aggregation_weights(counts.sum(axis=1), client_discrepancy(counts))
     consistent = consistent_prototypes(relational, weights, allow_missing=allow_missing)
     return Collaboration(global_prototypes, angular, adjacency, relational,
                          weights, consistent)

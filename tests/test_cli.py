@@ -206,6 +206,29 @@ class TestConfigLayering:
         cfg.write_text("[federation]\nrounds = soon\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"[data]\ndim = \xff\n")
+        assert run_cli("generate", "--config", str(cfg),
+                       "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("fedsc: invalid-config:")
+
+    def test_nonfinite_floats_are_config_errors(self, tmp_path, capsys):
+        # --separation nan used to overflow inside numpy, --learning-rate nan
+        # to train until the first step, --alpha nan to be accepted
+        for flag in ("--separation", "--learning-rate", "--alpha",
+                     "--temperature", "--rpcl-weight"):
+            for value in ("nan", "inf", "-inf"):
+                assert tiny_generate(tmp_path, (f"{flag}={value}",)) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("fedsc: invalid-config:"), (flag, value)
+                assert "must be finite" in err
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[federation]\nmomentum = nan\n")
+        assert run_cli("generate", "--config", str(cfg),
+                       "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "train.fsd").exists()
+
 
 class TestCompare:
     def write_csv(self, path, accs):
@@ -256,6 +279,14 @@ class TestCompare:
         good = tmp_path / "good.csv"
         self.write_csv(good, [0.5])
         assert run_cli("compare", str(bad), str(good)) == 3
+
+    def test_non_utf8_csv_is_malformed(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        self.write_csv(good, [0.5])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(good.read_bytes() + b"2,\xff,1,1,0,0,5\n")
+        assert run_cli("compare", str(good), str(bad)) == 3
+        assert capsys.readouterr().err.startswith("fedsc: malformed-csv:")
 
 
 class TestTheoryCommand:
@@ -310,6 +341,20 @@ class TestTheoryCommand:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert run_cli("theory", str(tmp_path / "none.txt")) == 2
+
+    def test_non_utf8_file_is_constants_error(self, tmp_path, capsys):
+        path = tmp_path / "constants.txt"
+        path.write_bytes(self.BASE.encode() + b"# \xff\n")
+        assert run_cli("theory", str(path)) == 2
+        assert capsys.readouterr().err.startswith("fedsc: invalid-constants:")
+
+    def test_nonfinite_constants_are_constants_errors(self, tmp_path, capsys):
+        path = tmp_path / "constants.txt"
+        for value in ("nan", "inf", "-inf", "1e999"):
+            path.write_text(self.BASE.replace("b = 1.0", f"b = {value}"))
+            assert run_cli("theory", str(path)) == 2
+            assert capsys.readouterr().err.startswith(
+                "fedsc: invalid-constants: line 3: b must be finite")
 
     def test_numpy_independent_spot_check(self, tmp_path, capsys):
         # printed values must match a plain-arithmetic evaluation

@@ -364,6 +364,15 @@ class TestFsd1Format:
         with pytest.raises(MalformedHeaderError):
             load_dataset(path)
 
+    def test_empty_body_with_huge_dim(self, tmp_path):
+        # a record this wide does not fit a numpy structured dtype; zero
+        # samples of it are still a well-formed (empty) file
+        path = tmp_path / "wide.fsd"
+        path.write_bytes(struct.pack("<4sIII", b"FSD1", 0, 2**32 - 1, 1))
+        ds = load_dataset(path)
+        assert ds.features.shape == (0, 2**32 - 1)
+        assert ds.labels.shape == (0,)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.fsd"
         path.write_bytes(b"FS")

@@ -1,4 +1,5 @@
-"""MLP forward/backward and the in-place momentum-SGD optimizer."""
+"""MLP forward/backward, the flat parameter layout, and the in-place
+momentum-SGD optimizer."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fedsc.errors import (
 )
 from fedsc.losses import total_loss
 from fedsc.model import (
-    Gradients,
     ModelParams,
     OptimizerConfig,
     backward,
@@ -56,6 +56,11 @@ def numeric_gradient(params, loss_fn, h=1e-6):
     return grads
 
 
+def filled_like(params, value):
+    """Gradients of ``params``' layout with every entry set to ``value``."""
+    return params.with_flat(np.full_like(params.flat, value))
+
+
 def relative_error(a, b):
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return np.abs(a - b).max() / scale
@@ -72,8 +77,8 @@ class TestInitParams:
 
     def test_momentum_starts_zero(self):
         p = tiny_params()
-        assert set(p.momentum) == set(_FIELDS)
-        assert all((buf == 0).all() for buf in p.momentum.values())
+        assert p.momentum.shape == p.flat.shape
+        assert (p.momentum == 0).all()
 
     def test_deterministic_and_seedsequence(self):
         a = init_params(3, 4, 3, 2, seed=5)
@@ -152,7 +157,7 @@ class TestBackward:
         both = backward(params, batch, gz, gl)
         only_z = backward(params, batch, gz, None)
         only_l = backward(params, batch, None, gl)
-        assert np.allclose(both.flat(), only_z.flat() + only_l.flat())
+        assert np.allclose(both.flat, only_z.flat + only_l.flat)
 
     def test_shape_check(self):
         params = tiny_params()
@@ -166,7 +171,7 @@ class TestSgdStep:
         config = OptimizerConfig(learning_rate=0.1, momentum=0.8,
                                  weight_decay=0.01, batch_size=4)
         params = tiny_params(seed=8)
-        g = Gradients(*(np.ones_like(getattr(params, f)) for f in _FIELDS))
+        g = filled_like(params, 1.0)
 
         p0 = params.w1.copy()
         buf1 = 1.0 + 0.01 * p0
@@ -174,42 +179,42 @@ class TestSgdStep:
         buf2 = 0.8 * buf1 + (1.0 + 0.01 * p1)
         p2 = p1 - 0.1 * buf2
 
+        w1 = slice(0, p0.size)
         assert sgd_step(params, g, config) is None
         assert np.allclose(params.w1, p1)
-        assert np.allclose(params.momentum["w1"], buf1)
+        assert np.allclose(params.momentum[w1].reshape(p0.shape), buf1)
         sgd_step(params, g, config)
         assert np.allclose(params.w1, p2)
-        assert np.allclose(params.momentum["w1"], buf2)
+        assert np.allclose(params.momentum[w1].reshape(p0.shape), buf2)
 
     def test_does_not_mutate_input(self):
         # the weights and momentum change in place; the gradients must not
         params = tiny_params()
-        g = Gradients(*(np.full_like(getattr(params, f), 0.5) for f in _FIELDS))
-        frozen = g.flat().copy()
+        g = filled_like(params, 0.5)
+        frozen = g.flat.copy()
         sgd_step(params, g, OptimizerConfig(momentum=0.9, weight_decay=0.1))
         sgd_step(params, g, OptimizerConfig(momentum=0.9, weight_decay=0.1))
-        assert np.array_equal(g.flat(), frozen)
-        for name in _FIELDS:
-            assert not np.shares_memory(params.momentum[name], getattr(g, name))
+        assert np.array_equal(g.flat, frozen)
+        assert not np.shares_memory(params.momentum, g.flat)
+        assert not np.shares_memory(params.momentum, params.flat)
 
     def test_zero_momentum_is_plain_sgd(self):
         config = OptimizerConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.0)
         params = tiny_params()
         expected = params.w1 - 1.0
-        g = Gradients(*(2 * np.ones_like(getattr(params, f)) for f in _FIELDS))
-        sgd_step(params, g, config)
+        sgd_step(params, filled_like(params, 2.0), config)
         assert np.allclose(params.w1, expected)
 
     def test_rejects_nonfinite(self):
         params = tiny_params()
-        params.momentum["c"] += 0.5
-        weights = params.flat().copy()
-        momentum = {k: v.copy() for k, v in params.momentum.items()}
+        params.momentum[-params.c.size :] += 0.5
+        weights = params.flat.copy()
+        momentum = params.momentum.copy()
         # the bad entry sits in the last field, after five finite ones
-        arrays = [np.ones_like(getattr(params, f)) for f in _FIELDS]
-        arrays[-1] = np.full_like(arrays[-1], np.nan)
+        g = filled_like(params, 1.0)
+        g.c[:] = np.nan
         with pytest.raises(NonfiniteGradientError):
-            sgd_step(params, Gradients(*arrays), OptimizerConfig())
+            sgd_step(params, g, OptimizerConfig())
         # backward leaves the check to sgd_step
         batch = tiny_batch(params)
         bad = np.full(batch.z.shape, np.inf)
@@ -217,9 +222,8 @@ class TestSgdStep:
             grads = backward(params, batch, bad, None)
             with pytest.raises(NonfiniteGradientError):
                 sgd_step(params, grads, OptimizerConfig())
-        assert np.array_equal(params.flat(), weights)
-        for name in _FIELDS:
-            assert np.array_equal(params.momentum[name], momentum[name])
+        assert np.array_equal(params.flat, weights)
+        assert np.array_equal(params.momentum, momentum)
 
     def test_optimizer_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -235,26 +239,51 @@ class TestSgdStep:
 class TestModelParams:
     def test_copy_isolation(self):
         params = tiny_params()
+        params.momentum += 2.0
         clone = params.copy()
+        assert np.array_equal(clone.momentum, params.momentum)
         clone.w1 += 1.0
-        clone.momentum["w1"] += 1.0
+        clone.momentum += 1.0
         assert not np.array_equal(clone.w1, params.w1)
-        assert (params.momentum["w1"] == 0).all()
+        assert not np.shares_memory(clone.flat, params.flat)
+        assert (params.momentum == 2.0).all()
 
     def test_copy_reset_momentum(self):
         params = tiny_params()
-        params.momentum["w1"] += 3.0
+        params.momentum += 3.0
         fresh = params.copy(reset_momentum=True)
-        assert (fresh.momentum["w1"] == 0).all()
+        assert (fresh.momentum == 0).all()
+        assert np.array_equal(fresh.flat, params.flat)
 
     def test_flat_layout(self):
         params = tiny_params()
-        flat = params.flat()
         sizes = [getattr(params, f).size for f in _FIELDS]
-        assert flat.size == sum(sizes)
-        assert np.array_equal(flat[: sizes[0]], params.w1.ravel())
-        ext = params.extractor_flat()
-        assert ext.size == sum(sizes[:4])
+        assert params.flat.shape == (sum(sizes),)
+        assert params.flat.dtype == np.float64
+        start = 0
+        for name, size in zip(_FIELDS, sizes):
+            field = getattr(params, name)
+            assert np.array_equal(params.flat[start : start + size], field.ravel())
+            assert np.shares_memory(field, params.flat)
+            start += size
+        assert list(params.weights()) == list(_FIELDS)
+
+    def test_fields_are_views_of_flat(self):
+        params = tiny_params()
+        params.w1[1, 2] = 7.0
+        assert params.flat[1 * params.hidden + 2] == 7.0
+        params.flat[-1] = -3.0
+        assert params.c[-1] == -3.0
+        params.weights()["b2"][:] = 0.5
+        assert (params.b2 == 0.5).all()
+
+    def test_backward_gradients_share_the_layout(self):
+        params = tiny_params()
+        grads = backward(params, tiny_batch(params), None, None)
+        assert isinstance(grads, ModelParams)
+        assert grads.flat.shape == params.flat.shape
+        assert not np.shares_memory(grads.flat, params.flat)
+        assert grads.w2.shape == params.w2.shape
 
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatchError):

@@ -119,6 +119,24 @@ class TestAngularDifferences:
         with pytest.raises(DegeneratePrototypeError):
             angular_differences(g, sets)
 
+    def test_degenerate_error_names_first_pair_client_major(self):
+        # client 5 holds a zero class-3 prototype, client 7 a zero class-1
+        # one; client order decides before class order
+        ok = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        sets = [proto(ok, owner=3),
+                proto([ok[0], ok[1], [0.0, 0.0]], owner=5),
+                proto([[0.0, 0.0], ok[1], ok[2]], owner=7)]
+        g = compute_global_prototypes(sets)
+        with pytest.raises(DegeneratePrototypeError,
+                           match=r"^zero-norm prototype for class 3, client 5$"):
+            angular_differences(g, sets)
+        # an absent class is never degenerate
+        sets[1] = proto([ok[0], ok[1], [0.0, 0.0]], owner=5,
+                        present=[True, True, False])
+        with pytest.raises(DegeneratePrototypeError,
+                           match=r"^zero-norm prototype for class 1, client 7$"):
+            angular_differences(compute_global_prototypes(sets), sets)
+
     def test_bounded_by_one(self):
         rng = np.random.default_rng(0)
         sets = [proto(rng.standard_normal((4, 6))) for _ in range(5)]
