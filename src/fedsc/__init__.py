@@ -66,7 +66,6 @@ from .prototypes import (
     build_adjacency,
     build_collaboration,
     client_discrepancy,
-    compute_client_prototypes,
     compute_global_prototypes,
     consistent_prototypes,
     prototypes_from_features,

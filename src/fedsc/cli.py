@@ -52,38 +52,38 @@ from .theory import (
     theorem3_min_rounds,
 )
 
-_HOLDOUT_FRACTION = 0.1
-
-
 @dataclass
 class RunConfig:
-    """Every knob the generate/run commands understand, flattened."""
+    """Every knob the generate/run commands understand, flattened.
+
+    Knobs a library config also has take that config's default.
+    """
 
     num_classes: int = 10
     per_class: int = 500
     dim: int = 16
     separation: float = 4.0
-    scheme: str = "dirichlet"
-    num_clients: int = 10
-    alpha: float = 0.2
-    rho: float = 100.0
-    inner_scheme: str = "dirichlet"
-    algorithm: str = "fedsc"
-    rounds: int = 100
-    local_epochs: int = 10
-    participation_fraction: float = 1.0
-    neighbors: int = 2
-    temperature: float = 0.05
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
-    batch_size: int = 64
-    hidden_dim: int = 64
-    feature_dim: int = 32
-    rpcl_weight: float = 1.0
-    cpdr_weight: float = 1.0
+    scheme: str = PartitionConfig.scheme
+    num_clients: int = FederationConfig.num_clients
+    alpha: float = PartitionConfig.alpha
+    rho: float = PartitionConfig.rho
+    inner_scheme: str = PartitionConfig.inner_scheme
+    algorithm: str = FederationConfig.algorithm
+    rounds: int = FederationConfig.rounds
+    local_epochs: int = FederationConfig.local_epochs
+    participation_fraction: float = FederationConfig.participation_fraction
+    neighbors: int = FederationConfig.neighbors
+    temperature: float = FederationConfig.temperature
+    learning_rate: float = OptimizerConfig.learning_rate
+    momentum: float = OptimizerConfig.momentum
+    weight_decay: float = OptimizerConfig.weight_decay
+    batch_size: int = OptimizerConfig.batch_size
+    hidden_dim: int = FederationConfig.hidden_dim
+    feature_dim: int = FederationConfig.feature_dim
+    rpcl_weight: float = FederationConfig.rpcl_weight
+    cpdr_weight: float = FederationConfig.cpdr_weight
     cpdr_norm: str = FederationConfig.cpdr_norm
-    seed: int = 0
+    seed: int = FederationConfig.seed
     threads: int = FederationConfig.threads
     out: str = "runs"
 
@@ -215,7 +215,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataset = generate_gaussian_blobs(cfg.num_classes, cfg.per_class, cfg.dim,
                                       cfg.separation, cfg.seed)
-    train, test = split_holdout(dataset, _HOLDOUT_FRACTION, cfg.seed)
+    train, test = split_holdout(dataset, seed=cfg.seed)
     if cfg.scheme == "long_tailed":
         train = apply_long_tail(train, cfg.rho, cfg.seed)
     save_dataset(out / "train.fsd", train)

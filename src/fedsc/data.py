@@ -384,7 +384,10 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read an FSD1 container written by :func:`save_dataset`."""
+    """Read an FSD1 container written by :func:`save_dataset`.
+
+    Every feature must be finite; the error names the first bad row (0-based).
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -406,4 +409,8 @@ def load_dataset(path) -> Dataset:
     # frombuffer views are read-only; copy into owned arrays
     features = words[:, :dim].view("<f4").astype(np.float32)
     labels = words[:, dim].astype(np.int64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise InvalidArgumentError(f"{path}: row {row} has a NaN or infinite feature")
     return Dataset(features, labels, num_classes)

@@ -41,10 +41,6 @@ class DegeneratePrototypeError(FedscError, ValueError):
     code = "degenerate-prototype"
 
 
-class ClassUnsupportedError(FedscError, ValueError):
-    code = "class-unsupported"
-
-
 class EmptyClientError(FedscError, ValueError):
     code = "empty-client"
 

@@ -11,6 +11,7 @@ no prototypes exist yet).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -234,8 +235,7 @@ def _rebuild_collaboration(state: ServerState, config: FederationConfig) -> None
     ids = sorted(state.latest_prototypes)
     sets = [state.latest_prototypes[i] for i in ids]
     counts = np.stack([state.latest_class_counts[i] for i in ids])
-    state.collaboration = build_collaboration(sets, counts, config.neighbors,
-                                              allow_missing=True)
+    state.collaboration = build_collaboration(sets, counts, config.neighbors)
 
 
 def run_round(
@@ -294,9 +294,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Partition a dataset, run the configured number of rounds, return metrics.
 
-    When ``test`` is None, a balanced 10%-per-class split is held out before
-    partitioning.  The partition's client count must match the federation
-    config.
+    When ``test`` is None, a balanced per-class split (``split_holdout``'s
+    default fraction) is held out before partitioning.  The partition's
+    client count must match the federation config.
     """
     if dataset.num_samples == 0:
         raise EmptyDatasetError("cannot run on an empty dataset")
@@ -306,7 +306,7 @@ def run_experiment(
             f"config expects {config.num_clients}"
         )
     if test is None:
-        dataset, test = split_holdout(dataset, 0.1, seed=partition.seed)
+        dataset, test = split_holdout(dataset, seed=partition.seed)
     clients = partition_dataset(dataset, partition)
 
     params = init_params(
@@ -344,6 +344,7 @@ def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
 
 
 def read_metrics_csv(path) -> list[RoundMetrics]:
+    """Parse a file written by :func:`write_metrics_csv`; values must be finite."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -352,13 +353,17 @@ def read_metrics_csv(path) -> list[RoundMetrics]:
     if not rows or rows[0] != CSV_HEADER:
         raise MalformedCsvError(f"{path}: missing or wrong header")
     out = []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], 2):
         if len(row) != len(CSV_HEADER):
             raise MalformedCsvError(f"{path}: row has {len(row)} fields")
         try:
-            out.append(RoundMetrics(int(row[0]), *(float(v) for v in row[1:])))
+            values = [float(v) for v in row[1:]]
+            out.append(RoundMetrics(int(row[0]), *values))
         except ValueError as exc:
             raise MalformedCsvError(f"{path}: {exc}") from exc
+        for column, value in zip(CSV_HEADER[1:], values):
+            if not math.isfinite(value):
+                raise MalformedCsvError(f"{path}: line {line}: {column} is {value}")
     return out
 
 

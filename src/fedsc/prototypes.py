@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ClassUnsupportedError,
     DegeneratePrototypeError,
     DimensionMismatchError,
     EmptyClientError,
@@ -108,62 +107,36 @@ class Collaboration:
     consistent: ConsistentSet
 
 
-def compute_client_prototypes(
-    features_by_class: list[np.ndarray], d: int, num_classes: int, owner: int = 0
-) -> PrototypeSet:
-    """Mean feature vector per class; absent classes get a False mask entry.
-
-    Args:
-        features_by_class: one (n_j, d) array per class, n_j may be 0.
-        d: feature dimensionality.
-        num_classes: length the class axis must have.
-        owner: 1-based id of the owning client (0 = unowned).
-    """
-    if len(features_by_class) != num_classes:
-        raise DimensionMismatchError(
-            f"expected {num_classes} class groups, got {len(features_by_class)}"
-        )
-    vectors = np.zeros((num_classes, d))
-    present = np.zeros(num_classes, dtype=bool)
-    for j, feats in enumerate(features_by_class):
-        feats = np.asarray(feats, dtype=np.float64)
-        if feats.size == 0:
-            continue
-        if feats.ndim != 2 or feats.shape[1] != d:
-            raise DimensionMismatchError(
-                f"class {j + 1} features have shape {feats.shape}, expected (*, {d})"
-            )
-        vectors[j] = feats.mean(axis=0)
-        present[j] = True
-    return PrototypeSet(vectors, present, owner)
-
-
 def prototypes_from_features(
     z: np.ndarray, labels: np.ndarray, num_classes: int, owner: int = 0
 ) -> PrototypeSet:
-    """Group a labelled feature matrix by class and average it."""
+    """Mean feature vector per class of a labelled feature matrix.
+
+    Classes without a sample get a zero row and a False mask entry.  ``owner``
+    is the 1-based id of the owning client (0 = unowned).
+    """
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels)
-    groups = [z[labels == j + 1] for j in range(num_classes)]
-    return compute_client_prototypes(groups, z.shape[1], num_classes, owner)
+    vectors = np.zeros((num_classes, z.shape[1]))
+    present = np.zeros(num_classes, dtype=bool)
+    for j in range(num_classes):
+        rows = z[labels == j + 1]
+        if len(rows):
+            vectors[j] = rows.mean(axis=0)
+            present[j] = True
+    return PrototypeSet(vectors, present, owner)
 
 
-def compute_global_prototypes(
-    sets: list[PrototypeSet], allow_missing: bool = False
-) -> GlobalPrototypes:
+def compute_global_prototypes(sets: list[PrototypeSet]) -> GlobalPrototypes:
     """Average client prototypes per class over the clients that hold it.
 
-    Raises class-unsupported if some class has no supporting client, unless
-    ``allow_missing`` is set (then its row is zero with support_count 0).
+    A class no client holds gets a zero row and support_count 0.
     """
     if not sets:
         raise InvalidArgumentError("need at least one prototype set")
     vectors = np.stack([s.vectors for s in sets])   # (K, C, d)
     present = np.stack([s.present for s in sets])   # (K, C)
     support = present.sum(axis=0)
-    if not allow_missing and (support == 0).any():
-        missing = int(np.flatnonzero(support == 0)[0]) + 1
-        raise ClassUnsupportedError(f"no client holds class {missing}")
     masked = np.where(present[:, :, None], vectors, 0.0)
     totals = masked.sum(axis=0)
     denom = np.maximum(support, 1)[:, None]
@@ -227,25 +200,24 @@ def build_adjacency(table: AngularTable, neighbors: int) -> AdjacencyTensor:
 def relational_prototypes(
     adjacency: AdjacencyTensor, sets: list[PrototypeSet]
 ) -> RelationalSet:
-    """Average each client's selected neighbourhood of class prototypes."""
+    """Average each client's selected neighbourhood of class prototypes.
+
+    r[j, k] = sum_q a[j, k, q] v[q, j] / sum_q a[j, k, q], one product per
+    class so the scratch stays O(K^2); rows with no neighbour stay zero.
+    """
     num_classes, num_clients, _ = adjacency.a.shape
     if len(sets) != num_clients:
         raise DimensionMismatchError(
             f"adjacency covers {num_clients} clients, got {len(sets)} sets"
         )
-    columns = np.stack([s.vectors for s in sets]).T  # (d, C, K)
-    linked = adjacency.a != 0
-    count = linked.sum(axis=2)                        # (C, K)
-    valid = count > 0
-    r = np.zeros((num_classes, num_clients, columns.shape[0]))
-    if valid.any():
-        # neighbour entries in C order, so grouped by (class, client)
-        flat = np.flatnonzero(linked)
-        j, q = flat // num_clients**2, flat % num_clients
-        sizes = count[valid]
-        sums = np.add.reduceat(columns[:, j, q], np.cumsum(sizes) - sizes, axis=1)
-        r[valid] = (sums / sizes).T
-    return RelationalSet(r, valid)
+    # absent rows are meaningless (may be NaN) and 0 * NaN would leak
+    vectors = np.stack([np.where(s.present[:, None], s.vectors, 0.0)
+                        for s in sets])               # (K, C, d)
+    count = adjacency.a.sum(axis=2)                   # (C, K)
+    r = np.empty((num_classes, num_clients, vectors.shape[2]))
+    for j in range(num_classes):
+        r[j] = adjacency.a[j] @ vectors[:, j] / np.maximum(count[j], 1)[:, None]
+    return RelationalSet(r, count > 0)
 
 
 def client_discrepancy(class_counts: np.ndarray) -> float | np.ndarray:
@@ -288,14 +260,13 @@ def aggregation_weights(
 
 
 def consistent_prototypes(
-    relational: RelationalSet,
-    weights: DiscrepancyWeights,
-    allow_missing: bool = False,
+    relational: RelationalSet, weights: DiscrepancyWeights
 ) -> ConsistentSet:
     """Weighted average of relational prototypes across clients, per class.
 
     Clients lacking a class get zero weight and the remaining weights are
-    renormalized for that class.
+    renormalized for that class; a class no client holds gets a zero row
+    and a False mask entry.
     """
     num_classes, num_clients, d = relational.r.shape
     if weights.weights.shape != (num_clients,):
@@ -303,18 +274,12 @@ def consistent_prototypes(
     w = np.where(relational.valid, weights.weights, 0.0)   # (C, K)
     w_total = w.sum(axis=1)
     present = w_total > 0
-    if not allow_missing and not present.all():
-        missing = int(np.flatnonzero(~present)[0]) + 1
-        raise ClassUnsupportedError(f"no relational prototype for class {missing}")
     w = np.divide(w, w_total[:, None], out=np.zeros_like(w), where=present[:, None])
     return ConsistentSet(np.einsum("jk,jkd->jd", w, relational.r), present)
 
 
 def build_collaboration(
-    sets: list[PrototypeSet],
-    class_counts: np.ndarray,
-    neighbors: int,
-    allow_missing: bool = True,
+    sets: list[PrototypeSet], class_counts: np.ndarray, neighbors: int
 ) -> Collaboration:
     """Run the full server-side pipeline for one batch of client reports.
 
@@ -322,16 +287,15 @@ def build_collaboration(
         sets: prototype sets in ascending client-id order.
         class_counts: (num_clients, num_classes) per-client label histograms.
         neighbors: adjacency size M.
-        allow_missing: tolerate classes no reporting client holds.
     """
     counts = np.asarray(class_counts)
     if counts.ndim != 2 or counts.shape[0] != len(sets):
         raise DimensionMismatchError("class_counts must be (num_clients, num_classes)")
-    global_prototypes = compute_global_prototypes(sets, allow_missing=allow_missing)
+    global_prototypes = compute_global_prototypes(sets)
     angular = angular_differences(global_prototypes, sets)
     adjacency = build_adjacency(angular, neighbors)
     relational = relational_prototypes(adjacency, sets)
     weights = aggregation_weights(counts.sum(axis=1), client_discrepancy(counts))
-    consistent = consistent_prototypes(relational, weights, allow_missing=allow_missing)
+    consistent = consistent_prototypes(relational, weights)
     return Collaboration(global_prototypes, angular, adjacency, relational,
                          weights, consistent)

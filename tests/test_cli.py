@@ -1,11 +1,14 @@
 """Command-line workflows: generate, run, compare, theory; config layering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fedsc.cli import main
-from fedsc.data import load_dataset, long_tail_profile
-from fedsc.federation import read_metrics_csv
+from fedsc.cli import RunConfig, main
+from fedsc.data import PartitionConfig, load_dataset, long_tail_profile, save_dataset
+from fedsc.federation import FederationConfig, read_metrics_csv
+from fedsc.model import OptimizerConfig
 from fedsc.theory import (
     TheoryConstants,
     theorem1_bound,
@@ -123,6 +126,18 @@ class TestRun:
         assert meta["threads"] == "1"
         assert tiny_run(tmp_path, ("--threads", "0")) == 2
 
+    def test_nonfinite_feature_names_file_and_row(self, tmp_path, capsys):
+        tiny_generate(tmp_path)
+        train = load_dataset(tmp_path / "train.fsd")
+        train.features[5, 1] = np.nan
+        train.features[9, 0] = np.inf
+        save_dataset(tmp_path / "train.fsd", train)
+        capsys.readouterr()
+        assert tiny_run(tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fedsc: invalid-argument:")
+        assert "train.fsd: row 5 " in err
+
     def test_repeat_run_bitwise_identical(self, tmp_path):
         tiny_generate(tmp_path / "a")
         tiny_generate(tmp_path / "b")
@@ -206,6 +221,19 @@ class TestConfigLayering:
         cfg.write_text("[federation]\nrounds = soon\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
+    def test_run_defaults_come_from_library_configs(self):
+        library = {}
+        for config in (PartitionConfig, OptimizerConfig, FederationConfig):
+            for f in dataclasses.fields(config):
+                if f.default is not dataclasses.MISSING:
+                    library.setdefault(f.name, []).append(f.default)
+        shared = [f for f in dataclasses.fields(RunConfig) if f.name in library]
+        assert len(shared) == 22
+        for f in shared:
+            for default in library[f.name]:
+                # same type too, so meta_<algorithm>.txt prints it the same
+                assert (f.default, type(f.default)) == (default, type(default)), f.name
+
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_bytes(b"[data]\ndim = \xff\n")
@@ -287,6 +315,18 @@ class TestCompare:
         bad.write_bytes(good.read_bytes() + b"2,\xff,1,1,0,0,5\n")
         assert run_cli("compare", str(good), str(bad)) == 3
         assert capsys.readouterr().err.startswith("fedsc: malformed-csv:")
+
+
+    def test_nonfinite_values_are_malformed(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        self.write_csv(good, [0.5])
+        bad = tmp_path / "bad.csv"
+        for accs, line in (([float("nan"), float("inf")], 2), ([0.5, float("inf")], 3)):
+            self.write_csv(bad, accs)
+            assert run_cli("compare", str(good), str(bad)) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("fedsc: malformed-csv:")
+            assert f"bad.csv: line {line}: accuracy is " in err
 
 
 class TestTheoryCommand:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedsc.errors import (
-    ClassUnsupportedError,
     DegeneratePrototypeError,
     DimensionMismatchError,
     EmptyClientError,
@@ -22,7 +21,6 @@ from fedsc.prototypes import (
     build_adjacency,
     build_collaboration,
     client_discrepancy,
-    compute_client_prototypes,
     compute_global_prototypes,
     consistent_prototypes,
     prototypes_from_features,
@@ -38,35 +36,16 @@ def proto(vectors, present=None, owner=0):
 
 
 class TestClientPrototypes:
-    def test_per_class_means(self):
-        groups = [
-            np.array([[1.0, 2.0], [3.0, 4.0]]),
-            np.empty((0, 2)),
-            np.array([[10.0, 0.0]]),
-        ]
-        s = compute_client_prototypes(groups, 2, 3, owner=4)
+    def test_from_features_groups_by_label(self):
+        z = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 0.0]])
+        labels = np.array([1, 1, 3])
+        s = prototypes_from_features(z, labels, 4, owner=4)
         assert np.allclose(s.vectors[0], [2.0, 3.0])
         assert np.allclose(s.vectors[2], [10.0, 0.0])
-        assert s.present.tolist() == [True, False, True]
+        # classes without a sample: zero row, not present
+        assert np.array_equal(s.vectors[[1, 3]], np.zeros((2, 2)))
+        assert s.present.tolist() == [True, False, True, False]
         assert s.owner == 4
-
-    def test_wrong_feature_dim_rejected(self):
-        # a (2, 4) block must not silently reshape into (4, 2)
-        groups = [np.zeros((2, 4))]
-        with pytest.raises(DimensionMismatchError):
-            compute_client_prototypes(groups, 2, 1)
-
-    def test_group_count_must_match(self):
-        with pytest.raises(DimensionMismatchError):
-            compute_client_prototypes([np.zeros((1, 2))], 2, 3)
-
-    def test_from_features_groups_by_label(self):
-        z = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 0.0]])
-        labels = np.array([2, 2, 1])
-        s = prototypes_from_features(z, labels, 3, owner=1)
-        assert np.allclose(s.vectors[0], [4.0, 0.0])
-        assert np.allclose(s.vectors[1], [1.0, 1.0])
-        assert s.present.tolist() == [True, True, False]
 
 
 class TestGlobalPrototypes:
@@ -80,11 +59,9 @@ class TestGlobalPrototypes:
         assert np.allclose(g.vectors[1], [0.0, 2.0])
         assert g.support_count.tolist() == [2, 1]
 
-    def test_missing_class_raises_unless_allowed(self):
-        sets = [proto([[1.0, 0.0], [0.0, 0.0]], present=[True, False])]
-        with pytest.raises(ClassUnsupportedError):
-            compute_global_prototypes(sets)
-        g = compute_global_prototypes(sets, allow_missing=True)
+    def test_missing_class_gets_zero_row(self):
+        sets = [proto([[1.0, 0.0], [5.0, 5.0]], present=[True, False])]
+        g = compute_global_prototypes(sets)
         assert g.support_count.tolist() == [1, 0]
         assert np.allclose(g.vectors[1], 0.0)
 
@@ -212,7 +189,7 @@ class TestRelationalPrototypes:
             proto([[1.0, 1.0], [2.0, 0.0]]),
         ]
         table = angular_differences(
-            compute_global_prototypes(sets, allow_missing=True), sets
+            compute_global_prototypes(sets), sets
         )
         rel = relational_prototypes(build_adjacency(table, 1), sets)
         assert rel.valid.tolist() == [[True, True], [False, True]]
@@ -305,13 +282,12 @@ class TestConsistentPrototypes:
         expected = (0.2 * np.array([2.0, 0.0]) + 0.3 * np.array([4.0, 2.0])) / 0.5
         assert np.allclose(out.o[0], expected)
 
-    def test_missing_class_raises_unless_allowed(self):
+    def test_missing_class_is_not_present(self):
         rel = RelationalSet(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
         weights = DiscrepancyWeights(np.zeros(2), np.array([0.5, 0.5]), 0.0, 0.0)
-        with pytest.raises(ClassUnsupportedError):
-            consistent_prototypes(rel, weights)
-        out = consistent_prototypes(rel, weights, allow_missing=True)
+        out = consistent_prototypes(rel, weights)
         assert out.present.tolist() == [False]
+        assert np.array_equal(out.o, np.zeros((1, 2)))
 
     def test_weight_shape_checked(self):
         rel = RelationalSet(np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool))
@@ -355,3 +331,26 @@ class TestBuildCollaboration:
         counts = np.array([[3, 0], [4, 0]])
         col = build_collaboration(sets, counts, neighbors=1)
         assert col.consistent.present.tolist() == [True, False]
+
+    def test_absent_row_contents_are_ignored(self):
+        # PrototypeSet leaves absent rows meaningless; NaN there must not
+        # leak through the adjacency product into any prototype
+        rng = np.random.default_rng(3)
+        vectors = rng.standard_normal((3, 4, 2)) + 2.0
+        present = np.ones((3, 4), dtype=bool)
+        present[1, 2] = present[2, 0] = False
+        counts = rng.integers(1, 20, size=(3, 4))
+        built = []
+        for fill in (np.nan, 0.0):
+            v = vectors.copy()
+            v[~present] = fill
+            sets = [proto(v[k], present[k], owner=k + 1) for k in range(3)]
+            built.append(build_collaboration(sets, counts, neighbors=2))
+        with_nan, zeroed = built
+        for col in built:
+            assert np.isfinite(col.relational.r).all()
+            assert np.isfinite(col.consistent.o).all()
+        assert np.array_equal(with_nan.adjacency.a, zeroed.adjacency.a)
+        assert np.array_equal(with_nan.relational.r, zeroed.relational.r)
+        assert np.array_equal(with_nan.consistent.o, zeroed.consistent.o)
+        assert np.array_equal(with_nan.relational.valid, zeroed.relational.valid)
