@@ -36,7 +36,7 @@ def proto(vectors, present=None, owner=0):
 
 
 class TestClientPrototypes:
-    def test_from_features_groups_by_label(self):
+    def test_per_class_means(self):
         z = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 0.0]])
         labels = np.array([1, 1, 3])
         s = prototypes_from_features(z, labels, 4, owner=4)
@@ -46,6 +46,14 @@ class TestClientPrototypes:
         assert np.array_equal(s.vectors[[1, 3]], np.zeros((2, 2)))
         assert s.present.tolist() == [True, False, True, False]
         assert s.owner == 4
+
+    def test_from_features_groups_by_label(self):
+        z = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 0.0]])
+        labels = np.array([2, 2, 1])
+        s = prototypes_from_features(z, labels, 3, owner=1)
+        assert np.allclose(s.vectors[0], [4.0, 0.0])
+        assert np.allclose(s.vectors[1], [1.0, 1.0])
+        assert s.present.tolist() == [True, True, False]
 
 
 class TestGlobalPrototypes:
