@@ -1,16 +1,22 @@
 """Show how each partition scheme spreads one dataset across clients.
 
-Generates a blob dataset once, partitions it under every scheme, and prints
-the per-client class-count tables side by side with each client's
-label-skew discrepancy.  Useful for eyeballing how alpha and rho shape the
-heterogeneity the federation has to cope with.
+Generates a blob dataset once, partitions it under every scheme (and under
+dirichlet again after long-tail thinning), and prints the per-client
+class-count tables side by side with each client's label-skew discrepancy.
+Useful for eyeballing how alpha and rho shape the heterogeneity the
+federation has to cope with.
 """
 
 import argparse
 
 import numpy as np
 
-from fedsc.data import PartitionConfig, generate_gaussian_blobs, partition_dataset
+from fedsc.data import (
+    PartitionConfig,
+    apply_long_tail,
+    generate_gaussian_blobs,
+    partition_dataset,
+)
 from fedsc.prototypes import client_discrepancy
 
 
@@ -34,7 +40,7 @@ def main():
     parser.add_argument("--alpha", type=float, default=0.3,
                         help="dirichlet concentration; smaller = more skew")
     parser.add_argument("--rho", type=float, default=20.0,
-                        help="head-to-tail ratio for the long-tailed scheme")
+                        help="head-to-tail ratio of the long-tailed dataset")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -43,21 +49,19 @@ def main():
     print(f"dataset: {data.num_samples} samples, "
           f"{args.num_classes} classes, dim {data.dim}")
 
-    for scheme in ("dirichlet", "biased", "long_tailed"):
+    long_tailed = apply_long_tail(data, args.rho, args.seed)
+    for label, scheme, dataset in (
+        (f"dirichlet (alpha={args.alpha})", "dirichlet", data),
+        ("biased", "biased", data),
+        (f"long_tailed (rho={args.rho}, inner=dirichlet)", "dirichlet", long_tailed),
+    ):
         if scheme == "biased" and args.num_classes % (args.num_clients - 1):
             print(f"\nbiased: skipped, needs num_classes divisible by "
                   f"{args.num_clients - 1}")
             continue
         config = PartitionConfig(scheme=scheme, num_clients=args.num_clients,
-                                 alpha=args.alpha, rho=args.rho,
-                                 seed=args.seed)
-        clients = partition_dataset(data, config)
-        label = scheme
-        if scheme == "dirichlet":
-            label += f" (alpha={args.alpha})"
-        elif scheme == "long_tailed":
-            label += f" (rho={args.rho}, inner=dirichlet)"
-        print_partition(label, clients)
+                                 alpha=args.alpha, seed=args.seed)
+        print_partition(label, partition_dataset(dataset, config))
 
     # the same alpha sweep, summarized by the discrepancy spread
     print("\ndirichlet discrepancy spread by alpha")

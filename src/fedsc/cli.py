@@ -63,11 +63,10 @@ class RunConfig:
     per_class: int = 500
     dim: int = 16
     separation: float = 4.0
+    rho: float = 1.0  # long-tail ratio of the train split; 1 keeps every sample
     scheme: str = PartitionConfig.scheme
     num_clients: int = FederationConfig.num_clients
     alpha: float = PartitionConfig.alpha
-    rho: float = PartitionConfig.rho
-    inner_scheme: str = PartitionConfig.inner_scheme
     algorithm: str = FederationConfig.algorithm
     rounds: int = FederationConfig.rounds
     local_epochs: int = FederationConfig.local_epochs
@@ -90,8 +89,8 @@ class RunConfig:
 
 # config-file schema: section -> key -> RunConfig field (same name except out)
 _SCHEMA = {
-    "data": ("num_classes", "per_class", "dim", "separation"),
-    "partition": ("scheme", "num_clients", "alpha", "rho", "inner_scheme"),
+    "data": ("num_classes", "per_class", "dim", "separation", "rho"),
+    "partition": ("scheme", "num_clients", "alpha"),
     "federation": (
         "algorithm", "rounds", "local_epochs", "participation_fraction",
         "neighbors", "temperature", "learning_rate", "momentum",
@@ -177,13 +176,11 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _partition_config(cfg: RunConfig, scheme: str | None = None) -> PartitionConfig:
+def _partition_config(cfg: RunConfig) -> PartitionConfig:
     return PartitionConfig(
-        scheme=scheme or cfg.scheme,
+        scheme=cfg.scheme,
         num_clients=cfg.num_clients,
         alpha=cfg.alpha,
-        rho=cfg.rho,
-        inner_scheme=cfg.inner_scheme,
         seed=cfg.seed,
     )
 
@@ -210,14 +207,17 @@ def _federation_config(cfg: RunConfig) -> FederationConfig:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    """Write train.fsd and test.fsd plus a per-class count table."""
+    """Write train.fsd (thinned by ``rho``), test.fsd and a per-class count table."""
+    try:
+        dataset = generate_gaussian_blobs(cfg.num_classes, cfg.per_class,
+                                          cfg.dim, cfg.separation, cfg.seed)
+        train, test = split_holdout(dataset, seed=cfg.seed)
+        train = apply_long_tail(train, cfg.rho, cfg.seed)
+    except InvalidArgumentError as exc:
+        # every input to generate is configuration
+        raise InvalidConfigError(str(exc)) from exc
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = generate_gaussian_blobs(cfg.num_classes, cfg.per_class, cfg.dim,
-                                      cfg.separation, cfg.seed)
-    train, test = split_holdout(dataset, seed=cfg.seed)
-    if cfg.scheme == "long_tailed":
-        train = apply_long_tail(train, cfg.rho, cfg.seed)
     save_dataset(out / "train.fsd", train)
     save_dataset(out / "test.fsd", test)
     print(f"wrote {out / 'train.fsd'} ({train.num_samples} samples)")
@@ -234,9 +234,7 @@ def cmd_run(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     train = load_dataset(out / "train.fsd")
     test = load_dataset(out / "test.fsd")
-    # long-tail thinning already happened at generate time
-    scheme = cfg.inner_scheme if cfg.scheme == "long_tailed" else cfg.scheme
-    partition = _partition_config(cfg, scheme=scheme)
+    partition = _partition_config(cfg)
     federation = _federation_config(cfg)
     result = run_experiment(federation, train, partition, test=test)
 

@@ -99,31 +99,24 @@ class ClientDataset:
 class PartitionConfig:
     """How a global dataset is split across clients.
 
-    ``scheme`` is one of ``dirichlet``, ``biased``, ``long_tailed``.  The
-    long-tailed scheme thins the global dataset by ``rho`` first and then
-    partitions with ``inner_scheme``.
+    ``scheme`` is ``dirichlet`` or ``biased``.  A long-tailed setting thins
+    the global dataset with :func:`apply_long_tail` before partitioning.
     """
 
     scheme: str = "dirichlet"
     num_clients: int = 10
     alpha: float = 0.2
-    rho: float = 100.0
-    inner_scheme: str = "dirichlet"
     seed: int = 0
 
     def __post_init__(self):
-        if self.scheme not in ("dirichlet", "biased", "long_tailed"):
+        if self.scheme not in ("dirichlet", "biased"):
             raise InvalidArgumentError(f"unknown partition scheme '{self.scheme}'")
-        if self.inner_scheme not in ("dirichlet", "biased"):
-            raise InvalidArgumentError(
-                f"unknown inner partition scheme '{self.inner_scheme}'"
-            )
         if self.num_clients < 2:
             raise InvalidArgumentError("num_clients must be >= 2")
         if self.alpha <= 0:
             raise InvalidArgumentError("alpha must be > 0")
-        if self.rho < 1:
-            raise InvalidArgumentError("rho must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be >= 0")
 
 
 def generate_gaussian_blobs(
@@ -361,12 +354,8 @@ def apply_long_tail(dataset: Dataset, rho: float, seed: int = 0) -> Dataset:
 
 
 def partition_dataset(dataset: Dataset, config: PartitionConfig) -> list[ClientDataset]:
-    """Apply a PartitionConfig. Long-tail thinning happens before partitioning."""
-    scheme = config.scheme
-    if scheme == "long_tailed":
-        dataset = apply_long_tail(dataset, config.rho, config.seed)
-        scheme = config.inner_scheme
-    if scheme == "dirichlet":
+    """Apply a PartitionConfig."""
+    if config.scheme == "dirichlet":
         return partition_dirichlet(dataset, config.num_clients, config.alpha, config.seed)
     return partition_biased(dataset, config.num_clients, config.seed)
 

@@ -92,6 +92,12 @@ class FederationConfig:
             raise InvalidArgumentError(f"unknown cpdr norm '{self.cpdr_norm}'")
         if self.threads < 1:
             raise InvalidArgumentError("threads must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be >= 0")
+        if self.hidden_dim < 1:
+            raise InvalidArgumentError("hidden_dim must be >= 1")
+        if self.feature_dim < 1:
+            raise InvalidArgumentError("feature_dim must be >= 1")
 
 
 @dataclass

@@ -56,8 +56,7 @@ class TestGenerate:
         assert lines[-3:] == ["1 22 2", "2 22 2", "3 22 2"]
 
     def test_long_tailed_thins_train_only(self, tmp_path):
-        assert tiny_generate(tmp_path, ("--scheme", "long_tailed",
-                                        "--rho", "4.0")) == 0
+        assert tiny_generate(tmp_path, ("--rho", "4.0")) == 0
         train = load_dataset(tmp_path / "train.fsd")
         test = load_dataset(tmp_path / "test.fsd")
         expected = long_tail_profile(22, 3, 4.0)
@@ -69,6 +68,14 @@ class TestGenerate:
         tiny_generate(tmp_path / "b")
         assert (tmp_path / "a" / "train.fsd").read_bytes() \
             == (tmp_path / "b" / "train.fsd").read_bytes()
+
+    def test_bad_data_knobs_are_config_errors(self, tmp_path, capsys):
+        for flag, value in (("--num-classes", "1"), ("--dim", "1"),
+                            ("--per-class", "1"), ("--separation", "-2"),
+                            ("--rho", "0.5"), ("--rho", "1000")):
+            assert tiny_generate(tmp_path, (flag, value)) == 2, flag
+            assert capsys.readouterr().err.startswith("fedsc: invalid-config:")
+        assert not (tmp_path / "train.fsd").exists()
 
 
 class TestRun:
@@ -190,6 +197,30 @@ class TestConfigLayering:
         train = load_dataset(tmp_path / "train.fsd")
         assert train.class_counts().tolist() == [27, 27, 27]
 
+    def test_rho_is_a_data_key(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\nrho = 4\n")
+        assert tiny_generate(tmp_path / "ini", ("--config", str(cfg))) == 0
+        assert tiny_generate(tmp_path / "flag", ("--rho", "4")) == 0
+        assert (tmp_path / "ini" / "train.fsd").read_bytes() \
+            == (tmp_path / "flag" / "train.fsd").read_bytes()
+        for key in ("rho = 4", "inner_scheme = dirichlet"):
+            cfg.write_text(f"[partition]\n{key}\n")
+            assert tiny_generate(tmp_path, ("--config", str(cfg))) == 2
+
+    def test_negative_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        assert tiny_generate(tmp_path, ("--seed", "-1")) == 2
+        assert tiny_run(tmp_path, ("--seed", "-1")) == 2
+        monkeypatch.setenv("FEDSC_SEED", "-3")
+        assert tiny_generate(tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fedsc: invalid-config: seed must be >= 0"] * 3
+
+    def test_zero_layer_size_rejected_before_reading(self, tmp_path):
+        # the dataset directory does not exist: reading it would exit 3
+        for flag in ("--hidden-dim", "--feature-dim"):
+            assert tiny_run(tmp_path / "nowhere", (flag, "0")) == 2
+
     def test_env_seed_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDSC_SEED", "99")
         tiny_generate(tmp_path)
@@ -228,7 +259,7 @@ class TestConfigLayering:
                 if f.default is not dataclasses.MISSING:
                     library.setdefault(f.name, []).append(f.default)
         shared = [f for f in dataclasses.fields(RunConfig) if f.name in library]
-        assert len(shared) == 22
+        assert len(shared) == 20
         for f in shared:
             for default in library[f.name]:
                 # same type too, so meta_<algorithm>.txt prints it the same

@@ -301,9 +301,8 @@ class TestLongTail:
 
 class TestPartitionDataset:
     def test_long_tailed_thins_then_partitions(self):
-        ds = small_blobs(num_classes=5, per_class=40)
-        config = PartitionConfig(scheme="long_tailed", num_clients=3, alpha=0.5,
-                                 rho=8.0, seed=11)
+        ds = apply_long_tail(small_blobs(num_classes=5, per_class=40), 8.0, seed=11)
+        config = PartitionConfig(scheme="dirichlet", num_clients=3, alpha=0.5, seed=11)
         clients = partition_dataset(ds, config)
         stacked = np.stack([c.class_counts for c in clients])
         expected = long_tail_profile(40, 5, 8.0)
@@ -325,9 +324,9 @@ class TestPartitionDataset:
         with pytest.raises(InvalidArgumentError):
             PartitionConfig(alpha=0.0)
         with pytest.raises(InvalidArgumentError):
-            PartitionConfig(rho=0.5)
+            PartitionConfig(scheme="long_tailed")
         with pytest.raises(InvalidArgumentError):
-            PartitionConfig(inner_scheme="long_tailed")
+            PartitionConfig(seed=-1)
 
 
 class TestFsd1Format:

@@ -66,6 +66,9 @@ class TestFederationConfig:
             dict(algorithm="fedprox"),
             dict(cpdr_norm="linf"),
             dict(threads=0),
+            dict(seed=-1),
+            dict(hidden_dim=0),
+            dict(feature_dim=0),
         ):
             with pytest.raises(InvalidArgumentError):
                 FederationConfig(**bad)
