@@ -7,6 +7,10 @@ side), ``theory`` (bound calculators on a constants file).
 Configuration is layered: built-in defaults, then ``--preset``, then an
 INI-style config file of ``key = value`` lines under ``[data]``,
 ``[partition]``, ``[federation]`` and ``[output]`` sections, then flags.
+Every ``[partition]`` and ``[federation]`` key, and its flag, is the
+same-named field of :class:`PartitionConfig`, :class:`FederationConfig` or
+:class:`OptimizerConfig` and takes its type and default from there; only the
+``[data]`` knobs and the output directory live in :class:`RunConfig`.
 Unknown config keys are hard errors.  The ``FEDSC_SEED`` environment
 variable overrides the seed from every other source.  Exit codes: 0 success,
 2 configuration error, 3 runtime error.
@@ -19,7 +23,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .data import (
@@ -54,9 +58,10 @@ from .theory import (
 
 @dataclass
 class RunConfig:
-    """Every knob the generate/run commands understand, flattened.
+    """The knobs no library config has: the ``[data]`` section and ``out``.
 
-    Knobs a library config also has take that config's default.
+    ``generate`` reads them all; ``run`` reads only ``out`` and describes
+    its data from the files it loads.
     """
 
     num_classes: int = 10
@@ -64,30 +69,10 @@ class RunConfig:
     dim: int = 16
     separation: float = 4.0
     rho: float = 1.0  # long-tail ratio of the train split; 1 keeps every sample
-    scheme: str = PartitionConfig.scheme
-    num_clients: int = FederationConfig.num_clients
-    alpha: float = PartitionConfig.alpha
-    algorithm: str = FederationConfig.algorithm
-    rounds: int = FederationConfig.rounds
-    local_epochs: int = FederationConfig.local_epochs
-    participation_fraction: float = FederationConfig.participation_fraction
-    neighbors: int = FederationConfig.neighbors
-    temperature: float = FederationConfig.temperature
-    learning_rate: float = OptimizerConfig.learning_rate
-    momentum: float = OptimizerConfig.momentum
-    weight_decay: float = OptimizerConfig.weight_decay
-    batch_size: int = OptimizerConfig.batch_size
-    hidden_dim: int = FederationConfig.hidden_dim
-    feature_dim: int = FederationConfig.feature_dim
-    rpcl_weight: float = FederationConfig.rpcl_weight
-    cpdr_weight: float = FederationConfig.cpdr_weight
-    cpdr_norm: str = FederationConfig.cpdr_norm
-    seed: int = FederationConfig.seed
-    threads: int = FederationConfig.threads
     out: str = "runs"
 
 
-# config-file schema: section -> key -> RunConfig field (same name except out)
+# config-file schema: section -> key -> field of the same name (except out)
 _SCHEMA = {
     "data": ("num_classes", "per_class", "dim", "separation", "rho"),
     "partition": ("scheme", "num_clients", "alpha"),
@@ -104,7 +89,12 @@ _PRESETS = {
     "desk": {"rounds": 30, "local_epochs": 5},
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# num_clients and seed feed both PartitionConfig and FederationConfig
+_FIELD_TYPES = {
+    f.name: f.type
+    for config in (RunConfig, PartitionConfig, FederationConfig, OptimizerConfig)
+    for f in fields(config) if f.name != "optimizer"
+}
 
 
 def _coerce(field_name: str, raw: str):
@@ -142,7 +132,11 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_run_config(
+    args: argparse.Namespace,
+) -> tuple[RunConfig, PartitionConfig, FederationConfig]:
+    """Layer defaults, preset, config file, flags and ``FEDSC_SEED``, then
+    build the three configs; any invalid value is a config error."""
     values: dict = {}
     if args.preset:
         if args.preset not in _PRESETS:
@@ -160,59 +154,28 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
             values["seed"] = int(env_seed)
         except ValueError as exc:
             raise InvalidConfigError(f"FEDSC_SEED must be an integer: {exc}") from exc
+    for name, value in values.items():
+        if _FIELD_TYPES[name] == "float" and not math.isfinite(value):
+            raise InvalidConfigError(f"{name} must be finite, got {value}")
+
+    def build(config, **nested):
+        return config(**{f.name: values[f.name] for f in fields(config)
+                         if f.name in values}, **nested)
+
     try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise InvalidConfigError(str(exc)) from exc
-    for name, kind in _FIELD_TYPES.items():
-        if kind == "float" and not math.isfinite(getattr(cfg, name)):
-            raise InvalidConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
-    try:
-        # validate derived configs eagerly so bad values exit as config errors
-        _partition_config(cfg)
-        _federation_config(cfg)
+        return (build(RunConfig), build(PartitionConfig),
+                build(FederationConfig, optimizer=build(OptimizerConfig)))
     except InvalidArgumentError as exc:
         raise InvalidConfigError(str(exc)) from exc
-    return cfg
 
 
-def _partition_config(cfg: RunConfig) -> PartitionConfig:
-    return PartitionConfig(
-        scheme=cfg.scheme,
-        num_clients=cfg.num_clients,
-        alpha=cfg.alpha,
-        seed=cfg.seed,
-    )
-
-
-def _federation_config(cfg: RunConfig) -> FederationConfig:
-    return FederationConfig(
-        rounds=cfg.rounds,
-        num_clients=cfg.num_clients,
-        local_epochs=cfg.local_epochs,
-        participation_fraction=cfg.participation_fraction,
-        neighbors=cfg.neighbors,
-        temperature=cfg.temperature,
-        optimizer=OptimizerConfig(cfg.learning_rate, cfg.momentum,
-                                  cfg.weight_decay, cfg.batch_size),
-        algorithm=cfg.algorithm,
-        seed=cfg.seed,
-        hidden_dim=cfg.hidden_dim,
-        feature_dim=cfg.feature_dim,
-        rpcl_weight=cfg.rpcl_weight,
-        cpdr_weight=cfg.cpdr_weight,
-        cpdr_norm=cfg.cpdr_norm,
-        threads=cfg.threads,
-    )
-
-
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: RunConfig, seed: int) -> int:
     """Write train.fsd (thinned by ``rho``), test.fsd and a per-class count table."""
     try:
         dataset = generate_gaussian_blobs(cfg.num_classes, cfg.per_class,
-                                          cfg.dim, cfg.separation, cfg.seed)
-        train, test = split_holdout(dataset, seed=cfg.seed)
-        train = apply_long_tail(train, cfg.rho, cfg.seed)
+                                          cfg.dim, cfg.separation, seed)
+        train, test = split_holdout(dataset, seed=seed)
+        train = apply_long_tail(train, cfg.rho, seed)
     except InvalidArgumentError as exc:
         # every input to generate is configuration
         raise InvalidConfigError(str(exc)) from exc
@@ -229,22 +192,24 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_run(cfg: RunConfig) -> int:
+def cmd_run(out: str, partition: PartitionConfig, federation: FederationConfig) -> int:
     """Run one experiment against previously generated dataset files."""
-    out = Path(cfg.out)
+    out = Path(out)
     train = load_dataset(out / "train.fsd")
     test = load_dataset(out / "test.fsd")
-    partition = _partition_config(cfg)
-    federation = _federation_config(cfg)
     result = run_experiment(federation, train, partition, test=test)
 
-    metrics_path = out / f"metrics_{cfg.algorithm}.csv"
+    metrics_path = out / f"metrics_{federation.algorithm}.csv"
     write_metrics_csv(metrics_path, result.metrics)
-    meta = {name: getattr(cfg, name) for name in _FIELD_TYPES}
+    meta = {"num_classes": train.num_classes, "dim": train.dim,
+            "train_samples": train.num_samples, "test_samples": test.num_samples}
+    for config in (partition, federation, federation.optimizer):
+        meta.update((f.name, getattr(config, f.name)) for f in fields(config)
+                    if f.name != "optimizer")
     meta["aggregation_weights"] = "renormalized-sigmoid"
     meta["bootstrap"] = "ce-only-until-prototypes-exist"
     meta["prototype_refresh"] = "latest-report-per-client"
-    write_run_metadata(out / f"meta_{cfg.algorithm}.txt", meta)
+    write_run_metadata(out / f"meta_{federation.algorithm}.txt", meta)
 
     for m in result.metrics:
         print(f"round {m.round} accuracy {m.accuracy:.6f} loss {m.loss_total:.6f}")
@@ -275,11 +240,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-_CONSTANT_KEYS = {
-    "l1": float, "l2": float, "b": float, "sigma_sq": float,
-    "num_classes": int, "m": int, "local_epochs": int, "eta": float,
-    "xi": float, "l0": float, "l_star": float, "l_re": float,
-}
+# TheoryConstants' fields, plus l_re: the loss theorem 1 starts from
+_CONSTANT_KEYS = {f.name: int if f.type == "int" else float
+                  for f in fields(TheoryConstants)} | {"l_re": float}
 
 
 def _load_constants(path: str) -> dict:
@@ -312,9 +275,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
     """Evaluate the bound calculators on a key=value constants file."""
     values = _load_constants(args.constants)
     l_re = values.pop("l_re", None)
-    required = ("l1", "l2", "b", "sigma_sq", "num_classes", "m",
-                "local_epochs", "eta")
-    missing = [k for k in required if k not in values]
+    missing = [f.name for f in fields(TheoryConstants)
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise InvalidConstantsError(f"missing constants: {', '.join(missing)}")
     constants = TheoryConstants(**values)
@@ -370,11 +332,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in ("generate", "run"):
-            cfg = _resolve_run_config(args)
+            cfg, partition, federation = _resolve_run_config(args)
         if args.command == "generate":
-            return cmd_generate(cfg)
+            return cmd_generate(cfg, partition.seed)
         if args.command == "run":
-            return cmd_run(cfg)
+            return cmd_run(cfg.out, partition, federation)
         if args.command == "compare":
             return cmd_compare(args)
         return cmd_theory(args)

@@ -375,7 +375,8 @@ def save_dataset(path, dataset: Dataset) -> None:
 def load_dataset(path) -> Dataset:
     """Read an FSD1 container written by :func:`save_dataset`.
 
-    Every feature must be finite; the error names the first bad row (0-based).
+    Every feature must be finite and every label in ``1..num_classes`` of
+    the header; the error names the file and the first bad row (0-based).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -402,4 +403,10 @@ def load_dataset(path) -> Dataset:
     if not finite.all():
         row = int(np.argmin(finite))
         raise InvalidArgumentError(f"{path}: row {row} has a NaN or infinite feature")
+    outside = (labels < 1) | (labels > num_classes)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise InvalidArgumentError(
+            f"{path}: row {row} has label {labels[row]} outside 1..{num_classes}"
+        )
     return Dataset(features, labels, num_classes)

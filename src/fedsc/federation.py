@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import ClientDataset, Dataset, PartitionConfig, partition_dataset, split_holdout
 from .errors import (
+    DimensionMismatchError,
     EmptyDatasetError,
     InvalidArgumentError,
     MalformedCsvError,
@@ -301,8 +302,9 @@ def run_experiment(
     """Partition a dataset, run the configured number of rounds, return metrics.
 
     When ``test`` is None, a balanced per-class split (``split_holdout``'s
-    default fraction) is held out before partitioning.  The partition's
-    client count must match the federation config.
+    default fraction) is held out before partitioning; a given ``test`` must
+    have the dataset's dim and class count.  The partition's client count
+    must match the federation config.
     """
     if dataset.num_samples == 0:
         raise EmptyDatasetError("cannot run on an empty dataset")
@@ -313,6 +315,11 @@ def run_experiment(
         )
     if test is None:
         dataset, test = split_holdout(dataset, seed=partition.seed)
+    elif (test.dim, test.num_classes) != (dataset.dim, dataset.num_classes):
+        raise DimensionMismatchError(
+            f"test set has dim={test.dim}, num_classes={test.num_classes}; "
+            f"train set has dim={dataset.dim}, num_classes={dataset.num_classes}"
+        )
     clients = partition_dataset(dataset, partition)
 
     params = init_params(

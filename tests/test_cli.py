@@ -1,11 +1,9 @@
 """Command-line workflows: generate, run, compare, theory; config layering."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from fedsc.cli import RunConfig, main
+from fedsc.cli import RunConfig, _build_parser, _resolve_run_config, main
 from fedsc.data import PartitionConfig, load_dataset, long_tail_profile, save_dataset
 from fedsc.federation import FederationConfig, read_metrics_csv
 from fedsc.model import OptimizerConfig
@@ -93,6 +91,29 @@ class TestRun:
         assert meta["bootstrap"] == "ce-only-until-prototypes-exist"
         out = capsys.readouterr().out
         assert "round 1 accuracy" in out
+
+    def test_metadata_describes_loaded_data_not_data_flags(self, tmp_path):
+        assert tiny_generate(tmp_path, ("--rho", "4")) == 0
+        assert tiny_run(tmp_path, ("--num-classes", "7", "--dim", "99")) == 0
+        meta = parse_kv((tmp_path / "meta_fedsc.txt").read_text())
+        assert meta["num_classes"] == "3"
+        assert meta["dim"] == "3"
+        assert meta["train_samples"] == str(long_tail_profile(22, 3, 4.0).sum())
+        assert meta["test_samples"] == "6"
+        assert not {"per_class", "separation", "rho"} & set(meta)
+        assert meta["alpha"] == "0.5"
+        assert meta["learning_rate"] == "0.01"
+
+    def test_test_set_of_another_shape_is_runtime_error(self, tmp_path, capsys):
+        tiny_generate(tmp_path)
+        for flag, value in (("--dim", "5"), ("--num-classes", "4")):
+            other = tmp_path / flag.lstrip("-")
+            tiny_generate(other, (flag, value))
+            (tmp_path / "test.fsd").write_bytes((other / "test.fsd").read_bytes())
+            capsys.readouterr()
+            assert tiny_run(tmp_path) == 3
+            assert capsys.readouterr().err.startswith("fedsc: dimension-mismatch:")
+            assert not (tmp_path / "metrics_fedsc.csv").exists()
 
     def test_single_round_single_row(self, tmp_path):
         tiny_generate(tmp_path)
@@ -252,18 +273,15 @@ class TestConfigLayering:
         cfg.write_text("[federation]\nrounds = soon\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
-    def test_run_defaults_come_from_library_configs(self):
-        library = {}
-        for config in (PartitionConfig, OptimizerConfig, FederationConfig):
-            for f in dataclasses.fields(config):
-                if f.default is not dataclasses.MISSING:
-                    library.setdefault(f.name, []).append(f.default)
-        shared = [f for f in dataclasses.fields(RunConfig) if f.name in library]
-        assert len(shared) == 20
-        for f in shared:
-            for default in library[f.name]:
-                # same type too, so meta_<algorithm>.txt prints it the same
-                assert (f.default, type(f.default)) == (default, type(default)), f.name
+    def test_empty_command_line_resolves_to_library_defaults(self, monkeypatch):
+        monkeypatch.delenv("FEDSC_SEED", raising=False)
+        for command in ("generate", "run"):
+            args = _build_parser().parse_args([command])
+            cfg, partition, federation = _resolve_run_config(args)
+            assert cfg == RunConfig()
+            assert partition == PartitionConfig()
+            assert federation == FederationConfig()
+            assert federation.optimizer == OptimizerConfig()
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -396,12 +414,16 @@ class TestTheoryCommand:
         path.write_text("# gradient bound\n\n" + self.BASE)
         assert run_cli("theory", str(path)) == 0
 
-    def test_unknown_or_missing_keys_are_config_errors(self, tmp_path):
+    def test_unknown_or_missing_keys_are_config_errors(self, tmp_path, capsys):
         path = tmp_path / "constants.txt"
         path.write_text(self.BASE + "zeta = 1.0\n")
         assert run_cli("theory", str(path)) == 2
         path.write_text("l1 = 1.0\n")
+        capsys.readouterr()
         assert run_cli("theory", str(path)) == 2
+        assert capsys.readouterr().err == (
+            "fedsc: invalid-constants: missing constants: "
+            "l2, b, sigma_sq, num_classes, m, local_epochs, eta\n")
         path.write_text(self.BASE.replace("eta = 0.1", "eta = fast"))
         assert run_cli("theory", str(path)) == 2
 

@@ -378,6 +378,19 @@ class TestFsd1Format:
         with pytest.raises(MalformedHeaderError):
             load_dataset(path)
 
+    def test_label_outside_header_classes_names_file_and_row(self, tmp_path):
+        ds = small_blobs(num_classes=3)
+        path = tmp_path / "train.fsd"
+        save_dataset(path, ds)
+        raw = bytearray(path.read_bytes())
+        record = 4 * ds.dim + 4
+        for row, label in ((5, 7), (9, 0)):
+            struct.pack_into("<I", raw, 16 + row * record + 4 * ds.dim, label)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidArgumentError,
+                           match=r"train\.fsd: row 5 has label 7 outside 1\.\.3"):
+            load_dataset(path)
+
     def test_truncated_body(self, tmp_path):
         ds = small_blobs()
         path = tmp_path / "blob.fsd"

@@ -9,7 +9,11 @@ from fedsc.data import (
     partition_dataset,
     split_holdout,
 )
-from fedsc.errors import InvalidArgumentError, MalformedCsvError
+from fedsc.errors import (
+    DimensionMismatchError,
+    InvalidArgumentError,
+    MalformedCsvError,
+)
 from fedsc.federation import (
     CSV_HEADER,
     FederationConfig,
@@ -220,6 +224,16 @@ class TestRunExperiment:
         train, test = split_holdout(ds, 0.5, seed=0)
         result = run_experiment(small_config(), train, small_partition(), test=test)
         assert result.test is test
+
+    def test_test_set_of_another_shape_rejected(self):
+        train = small_dataset()
+        for other in (generate_gaussian_blobs(3, 8, 5, 3.0),
+                      generate_gaussian_blobs(6, 8, 4, 3.0)):
+            with pytest.raises(DimensionMismatchError) as info:
+                run_experiment(small_config(), train, small_partition(), test=other)
+            message = str(info.value)
+            assert f"dim={other.dim}, num_classes={other.num_classes}" in message
+            assert "dim=4, num_classes=3" in message
 
     def test_client_count_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
