@@ -3,9 +3,8 @@
 Runs a fresh model forward on a small labelled batch, attaches synthetic
 relational and consistent prototypes, and prints how the three terms (plain
 cross-entropy, the prototype contrast, and the consistency penalty) respond
-to the temperature and to their weights.  Also shows the per-term gradient
-scales arriving at the feature layer, which is where the three terms
-compete.
+to the temperature.  Also shows the per-term gradient scales arriving at the
+feature layer, which is where the three terms compete.
 """
 
 import argparse
@@ -66,7 +65,7 @@ def main():
     print(f"uniform-logit cross-entropy would be log({args.num_classes}) = "
           f"{np.log(args.num_classes):.4f}\n")
 
-    print("temperature sweep (term weights 1.0)")
+    print("temperature sweep")
     print("tau     ce      rpcl    cpdr    total")
     for tau in (0.02, 0.05, 0.1, 0.5, 1.0):
         context = compute_normalizers(batch.z, relational, tau=tau)
@@ -76,18 +75,9 @@ def main():
     print("small tau amplifies score gaps, so an untrained model pays more\n")
 
     context = compute_normalizers(batch.z, relational, tau=0.05)
-    print("term-weight sweep at tau=0.05")
-    print("w_rpcl w_cpdr  total    |grad_z|")
-    for rw, cw in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
-                   (2.0, 0.5)):
-        bd = total_loss(batch, relational, consistent, context, params,
-                        rpcl_weight=rw, cpdr_weight=cw)
-        print(f"{rw:<6.1f} {cw:<7.1f} {bd.total:<8.4f} "
-              f"{np.linalg.norm(bd.grad_z):.4f}")
-
     ce_g, rpcl_g, cpdr_g = gradient_scales(batch, relational, consistent,
                                            context, params)
-    print("\nisolated gradient scales")
+    print("isolated gradient scales at tau=0.05")
     print(f"  cross-entropy at the logits: {ce_g:.4f}")
     print(f"  contrast at the features:    {rpcl_g:.4f}")
     print(f"  consistency at the features: {cpdr_g:.4f}")

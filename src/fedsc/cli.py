@@ -72,16 +72,18 @@ class RunConfig:
     out: str = "runs"
 
 
-# config-file schema: section -> key -> field of the same name (except out)
+def _names(config, *skip: str) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(config) if f.name not in skip)
+
+
+# config-file schema: section -> keys, each the field of the same name
+# (``[output] dir`` is ``out``); num_clients is keyed under [partition] and
+# seed under [federation], though each feeds both configs
 _SCHEMA = {
-    "data": ("num_classes", "per_class", "dim", "separation", "rho"),
-    "partition": ("scheme", "num_clients", "alpha"),
-    "federation": (
-        "algorithm", "rounds", "local_epochs", "participation_fraction",
-        "neighbors", "temperature", "learning_rate", "momentum",
-        "weight_decay", "batch_size", "hidden_dim", "feature_dim",
-        "rpcl_weight", "cpdr_weight", "cpdr_norm", "seed", "threads",
-    ),
+    "data": _names(RunConfig, "out"),
+    "partition": _names(PartitionConfig, "seed"),
+    "federation": (_names(FederationConfig, "num_clients", "optimizer")
+                   + _names(OptimizerConfig)),
     "output": ("dir",),
 }
 
@@ -219,6 +221,8 @@ def cmd_run(out: str, partition: PartitionConfig, federation: FederationConfig) 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Key=value comparison of two metrics files."""
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise InvalidConfigError(f"threshold must be finite, got {args.threshold}")
     metrics_a = read_metrics_csv(args.metrics_a)
     metrics_b = read_metrics_csv(args.metrics_b)
     if not metrics_a or not metrics_b:

@@ -269,11 +269,10 @@ def partition_biased(
     dataset: Dataset,
     num_clients: int,
     seed: int = 0,
-    full_client_fraction: float = 0.1,
 ) -> list[ClientDataset]:
     """Block-biased split: K-1 clients own disjoint class blocks, one sees all.
 
-    Client K first receives ``full_client_fraction`` of every class (at least
+    Client K first receives a tenth of every class (rounded down, at least
     one sample per class); the remaining samples of each class block go to the
     block's owner.  Requires num_classes divisible by num_clients - 1.
     """
@@ -284,8 +283,6 @@ def partition_biased(
             f"{dataset.num_classes} classes do not split evenly across "
             f"{num_clients - 1} biased clients"
         )
-    if not 0 < full_client_fraction < 1:
-        raise InvalidArgumentError("full_client_fraction must lie in (0, 1)")
 
     rng = np.random.default_rng(seed)
     block = dataset.num_classes // (num_clients - 1)
@@ -297,7 +294,7 @@ def partition_biased(
             raise InvalidArgumentError(
                 f"class {j + 1} needs >= 2 samples for a biased split"
             )
-        take = max(1, int(np.floor(full_client_fraction * idx.size)))
+        take = max(1, int(np.floor(0.1 * idx.size)))
         full_parts.append(idx[:take])
         rest_by_class.append(idx[take:])
 

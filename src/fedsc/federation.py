@@ -69,8 +69,6 @@ class FederationConfig:
     seed: int = 0
     hidden_dim: int = 64
     feature_dim: int = 32
-    rpcl_weight: float = 1.0
-    cpdr_weight: float = 1.0
     cpdr_norm: str = DEFAULT_CPDR_NORM
     threads: int = 1
 
@@ -168,7 +166,7 @@ def run_client(
 ) -> ClientUpdate:
     """Local epochs of minibatch SGD, then prototypes from the final extractor.
 
-    The optimizer state starts fresh each round.  When relational and
+    The momentum buffer starts at zero on every call.  When relational and
     consistent prototypes are provided (and the algorithm is fedsc) the
     composite loss applies; otherwise training is plain cross-entropy.
     Distance normalizers are recomputed from a feature snapshot at the start
@@ -178,7 +176,8 @@ def run_client(
         np.random.SeedSequence((config.seed, _TAG_CLIENT, round_index,
                                 dataset.client_id))
     )
-    params = global_params.copy(reset_momentum=True)
+    params = global_params.copy()
+    buf = np.zeros(params.flat.size)
     use_protos = (
         config.algorithm == "fedsc"
         and relational is not None
@@ -200,12 +199,10 @@ def run_client(
                 consistent if use_protos else None,
                 context,
                 params,
-                rpcl_weight=config.rpcl_weight,
-                cpdr_weight=config.cpdr_weight,
                 cpdr_norm=config.cpdr_norm,
             )
             grads = backward(params, fb, breakdown.grad_z, breakdown.grad_logits)
-            sgd_step(params, grads, config.optimizer)
+            sgd_step(params, grads, buf, config.optimizer)
             sums += (breakdown.ce, breakdown.rpcl, breakdown.cpdr, breakdown.total)
             batches += 1
 
@@ -220,7 +217,7 @@ def run_client(
 def aggregate_models(
     contributions: list[tuple[ModelParams, int]]
 ) -> ModelParams:
-    """Sample-count-weighted average of model weights, fresh momentum.
+    """Sample-count-weighted average of model weights.
 
     Computed in delta form around the first contributor so averaging
     identical models reproduces them bit for bit.

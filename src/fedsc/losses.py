@@ -4,7 +4,7 @@ RPCL pulls a sample's features toward every relational prototype of its own
 class and away from other classes' (an InfoNCE-style contrast over
 distance-normalized cosine similarities); CPDR penalizes the distance to the
 class's consistent prototype.  The total loss is the unweighted sum
-CE + RPCL + CPDR, with optional term weights for ablations.
+CE + RPCL + CPDR.
 
 CPDR defaults to the mean squared coordinate distance (``"sq"``): its
 gradient ``2 (z - o) / d`` is Lipschitz, so the composite loss stays
@@ -59,8 +59,8 @@ class SimilarityContext:
 class LossBreakdown:
     """Batch-mean loss terms and upstream gradients for backprop.
 
-    ``total == ce + rpcl + cpdr`` (term weights folded in); ``grad_z`` and
-    ``grad_logits`` are gradients of the batch-mean total.
+    ``total == ce + rpcl + cpdr``; ``grad_z`` and ``grad_logits`` are
+    gradients of the batch-mean total.
     """
 
     ce: float
@@ -302,8 +302,6 @@ def total_loss(
     consistent: ConsistentSet | None,
     context: SimilarityContext | None,
     params: ModelParams,
-    rpcl_weight: float = 1.0,
-    cpdr_weight: float = 1.0,
     cpdr_norm: str = DEFAULT_CPDR_NORM,
 ) -> LossBreakdown:
     """Batch-mean composite loss CE + RPCL + CPDR with upstream gradients.
@@ -333,8 +331,8 @@ def total_loss(
         cpdr_losses, cpdr_grad = np.zeros(n), np.zeros_like(batch.z)
 
     ce = float(ce_losses.mean())
-    rpcl = rpcl_weight * float(rpcl_losses.mean())
-    cpdr = cpdr_weight * float(cpdr_losses.mean())
-    grad_z = (rpcl_weight * rpcl_grad + cpdr_weight * cpdr_grad) / n
+    rpcl = float(rpcl_losses.mean())
+    cpdr = float(cpdr_losses.mean())
+    grad_z = (rpcl_grad + cpdr_grad) / n
     grad_logits = ce_grad / n
     return LossBreakdown(ce, rpcl, cpdr, ce + rpcl + cpdr, grad_z, grad_logits)

@@ -3,8 +3,9 @@ hand-derived backprop and SGD with momentum, applied in place.
 
 The feature extractor maps inputs x to z = W2 relu(W1 x + b1) + b2; the
 classifier maps z to logits = V z + c.  All arithmetic is float64.  The
-weights, the momentum and each gradient are one flat vector apiece, with the
-layers as named views into it, so the optimizer works on whole vectors.
+weights and each gradient are one flat vector apiece, with the layers as
+named views into it, so the optimizer works on whole vectors; its momentum
+buffer is a plain vector of the same size that the caller owns.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ class ModelParams:
 
     ``flat`` holds w1 b1 w2 b2 v c back to back in declaration order and
     each named field is a view into it, so an in-place write to either shows
-    in both (rebinding a field detaches it).  ``momentum`` is the SGD
-    momentum buffer in the same layout.  ``backward`` returns gradients in
-    this type as well.
+    in both (rebinding a field detaches it).  ``backward`` returns gradients
+    in this type as well.
     """
 
     def __init__(self, w1, b1, w2, b2, v, c):
@@ -57,12 +57,11 @@ class ModelParams:
 
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
-        self.momentum = np.zeros(flat.size)
         for name, part, shape in self._layout:
             setattr(self, name, flat[part].reshape(shape))
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
-        """A model of this layout on ``flat`` (not copied), zero momentum."""
+        """A model of this layout on ``flat`` (not copied)."""
         out = object.__new__(ModelParams)
         out._layout = self._layout
         out._bind(flat)
@@ -84,11 +83,8 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.v.shape[1]
 
-    def copy(self, reset_momentum: bool = False) -> "ModelParams":
-        out = self.with_flat(self.flat.copy())
-        if not reset_momentum:
-            out.momentum[:] = self.momentum
-        return out
+    def copy(self) -> "ModelParams":
+        return self.with_flat(self.flat.copy())
 
     def weights(self) -> dict[str, np.ndarray]:
         return dict(zip(_FIELDS, (self.w1, self.b1, self.w2, self.b2, self.v, self.c)))
@@ -170,33 +166,30 @@ def forward_logits(params: ModelParams, z: np.ndarray) -> np.ndarray:
 def backward(
     params: ModelParams,
     batch: FeatureBatch,
-    grad_z: np.ndarray | None,
-    grad_logits: np.ndarray | None,
+    grad_z: np.ndarray,
+    grad_logits: np.ndarray,
 ) -> ModelParams:
     """Backpropagate upstream feature and logit gradients to the parameters.
 
     ``grad_z`` hits the extractor output directly; ``grad_logits`` flows
-    through the classifier and then into the extractor as well.  Either may
-    be None, meaning zero.  The gradients come back in ``params``' layout.
+    through the classifier and then into the extractor as well.  The
+    gradients come back in ``params``' layout.
     """
     n = batch.z.shape[0]
-    gz = np.zeros_like(batch.z) if grad_z is None else np.asarray(grad_z, np.float64)
+    gz = np.asarray(grad_z, dtype=np.float64)
     if gz.shape != batch.z.shape:
         raise ShapeMismatchError(f"grad_z shape {gz.shape} != {batch.z.shape}")
+    gl = np.asarray(grad_logits, dtype=np.float64)
+    if gl.shape != (n, params.num_classes):
+        raise ShapeMismatchError(
+            f"grad_logits shape {gl.shape} != {(n, params.num_classes)}"
+        )
 
-    grads = params.with_flat(np.zeros(params.flat.size))
-    if grad_logits is None:
-        gz_total = gz
-    else:
-        gl = np.asarray(grad_logits, dtype=np.float64)
-        if gl.shape != (n, params.num_classes):
-            raise ShapeMismatchError(
-                f"grad_logits shape {gl.shape} != {(n, params.num_classes)}"
-            )
-        np.matmul(batch.z.T, gl, out=grads.v)
-        gl.sum(axis=0, out=grads.c)
-        gz_total = gz + gl @ params.v.T
-
+    # every field is written below
+    grads = params.with_flat(np.empty(params.flat.size))
+    np.matmul(batch.z.T, gl, out=grads.v)
+    gl.sum(axis=0, out=grads.c)
+    gz_total = gz + gl @ params.v.T
     np.matmul(batch.act1.T, gz_total, out=grads.w2)
     gz_total.sum(axis=0, out=grads.b2)
     ga1 = gz_total @ params.w2.T
@@ -206,10 +199,11 @@ def backward(
     return grads
 
 
-def sgd_step(params: ModelParams, grads: ModelParams,
+def sgd_step(params: ModelParams, grads: ModelParams, buf: np.ndarray,
              config: OptimizerConfig) -> None:
-    """One SGD-with-momentum update, in place; weight decay is added to the
-    gradient.
+    """One SGD-with-momentum update of ``params`` and the momentum buffer
+    ``buf`` (a vector of ``params.flat``'s size), both in place; weight decay
+    is added to the gradient.
 
     buf <- momentum * buf + (grad + weight_decay * param)
     param <- param - learning_rate * buf
@@ -218,7 +212,6 @@ def sgd_step(params: ModelParams, grads: ModelParams,
     """
     if not np.isfinite(grads.flat).all():
         raise NonfiniteGradientError("gradient contains NaN or Inf")
-    buf = params.momentum
     buf *= config.momentum
     buf += grads.flat + config.weight_decay * params.flat
     params.flat -= config.learning_rate * buf

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedsc.cli import RunConfig, _build_parser, _resolve_run_config, main
+from fedsc.cli import _SCHEMA, RunConfig, _build_parser, _resolve_run_config, main
 from fedsc.data import PartitionConfig, load_dataset, long_tail_profile, save_dataset
 from fedsc.federation import FederationConfig, read_metrics_csv
 from fedsc.model import OptimizerConfig
@@ -265,6 +265,31 @@ class TestConfigLayering:
                        "--out", str(tmp_path)) == 2
         assert "invalid-config" in capsys.readouterr().err
 
+    def test_config_sections_take_the_config_fields(self, tmp_path, capsys):
+        assert {section: set(keys) for section, keys in _SCHEMA.items()} == {
+            "data": {"num_classes", "per_class", "dim", "separation", "rho"},
+            "partition": {"scheme", "num_clients", "alpha"},
+            "federation": {
+                "algorithm", "rounds", "local_epochs", "participation_fraction",
+                "neighbors", "temperature", "learning_rate", "momentum",
+                "weight_decay", "batch_size", "hidden_dim", "feature_dim",
+                "cpdr_norm", "seed", "threads",
+            },
+            "output": {"dir"},
+        }
+        # the loss terms carry no weights, as keys or as flags
+        cfg = tmp_path / "weights.ini"
+        for key in ("rpcl_weight", "cpdr_weight"):
+            cfg.write_text(f"[federation]\n{key} = 2\n")
+            assert run_cli("generate", "--config", str(cfg),
+                           "--out", str(tmp_path)) == 2
+            assert capsys.readouterr().err.startswith("fedsc: invalid-config:")
+            with pytest.raises(SystemExit) as info:
+                tiny_generate(tmp_path, ("--" + key.replace("_", "-"), "2"))
+            assert info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "train.fsd").exists()
+
     def test_bad_values_are_config_errors(self, tmp_path):
         tiny_generate(tmp_path)
         assert tiny_run(tmp_path, ("--alpha", "0.0")) == 2
@@ -294,7 +319,7 @@ class TestConfigLayering:
         # --separation nan used to overflow inside numpy, --learning-rate nan
         # to train until the first step, --alpha nan to be accepted
         for flag in ("--separation", "--learning-rate", "--alpha",
-                     "--temperature", "--rpcl-weight"):
+                     "--temperature", "--weight-decay"):
             for value in ("nan", "inf", "-inf"):
                 assert tiny_generate(tmp_path, (f"{flag}={value}",)) == 2
                 err = capsys.readouterr().err
@@ -345,6 +370,16 @@ class TestCompare:
         report = parse_kv(capsys.readouterr().out)
         assert report["rounds_to_threshold_b"] == "none"
         assert report["delta_rounds_to_threshold"] == "none"
+
+    def test_nonfinite_threshold_is_config_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        self.write_csv(a, [0.4, 0.6])
+        for value in ("nan", "inf", "-inf"):
+            assert run_cli("compare", str(a), str(a),
+                           f"--threshold={value}") == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("fedsc: invalid-config:"), value
+            assert captured.out == ""
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run_cli("compare", str(tmp_path / "x.csv"),

@@ -122,6 +122,20 @@ class TestRunClient:
         run_client(params, client, config, round_index=1)
         assert np.array_equal(params.flat, frozen)
 
+    def test_repeat_calls_are_byte_identical(self):
+        # a momentum buffer carried from one call into the next would make
+        # the second call train differently
+        ds = small_dataset()
+        config = small_config(local_epochs=2, algorithm="fedsc")
+        state = run_experiment(config, ds, small_partition()).state
+        client = max(partition_dataset(ds, small_partition()),
+                     key=lambda c: c.total)
+        a, b = (run_client(state.params, client, config, 3, state.relational,
+                           state.consistent) for _ in range(2))
+        assert a.rpcl > 0.0 and a.cpdr > 0.0
+        assert a.params.flat.tobytes() == b.params.flat.tobytes()
+        assert (a.ce, a.rpcl, a.cpdr) == (b.ce, b.rpcl, b.cpdr)
+
 
 class TestAggregateModels:
     def test_identical_models_reproduced_bitwise(self):
@@ -140,12 +154,6 @@ class TestAggregateModels:
         merged = aggregate_models([(a, 1), (b, 3)])
         assert np.allclose(merged.w1, 0.25 * a.w1 + 0.75 * b.w1)
         assert np.allclose(merged.c, 0.25 * a.c + 0.75 * b.c)
-
-    def test_momentum_reset(self):
-        a = init_params(3, 4, 3, 2, seed=0)
-        a.momentum += 5.0
-        merged = aggregate_models([(a, 1)])
-        assert (merged.momentum == 0).all()
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

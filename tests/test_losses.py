@@ -308,18 +308,6 @@ class TestTotalLoss:
                     (up - down) / (2 * h), rel=1e-5, abs=1e-9
                 )
 
-    def test_term_weights_scale_losses_and_gradients(self):
-        params, batch, rel, consistent, ctx = self.setup_case(seed=5)
-        base = total_loss(batch, rel, consistent, ctx, params)
-        scaled = total_loss(batch, rel, consistent, ctx, params,
-                            rpcl_weight=2.0, cpdr_weight=0.5)
-        assert scaled.rpcl == pytest.approx(2.0 * base.rpcl, rel=1e-12)
-        assert scaled.cpdr == pytest.approx(0.5 * base.cpdr, rel=1e-12)
-        assert scaled.ce == pytest.approx(base.ce, rel=1e-12)
-        assert scaled.total == pytest.approx(
-            scaled.ce + scaled.rpcl + scaled.cpdr, abs=1e-12
-        )
-
     def test_rejects_nonpositive_normalizer_like_reference(self):
         params, batch, rel, consistent, ctx = self.setup_case(seed=7)
         # an invalid entry's normalizer is never used

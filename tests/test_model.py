@@ -75,11 +75,6 @@ class TestInitParams:
         assert np.abs(p.w2).max() <= 1 / np.sqrt(5)
         assert np.abs(p.v).max() <= 1 / np.sqrt(4)
 
-    def test_momentum_starts_zero(self):
-        p = tiny_params()
-        assert p.momentum.shape == p.flat.shape
-        assert (p.momentum == 0).all()
-
     def test_deterministic_and_seedsequence(self):
         a = init_params(3, 4, 3, 2, seed=5)
         b = init_params(3, 4, 3, 2, seed=5)
@@ -142,7 +137,8 @@ class TestBackward:
             fb = forward_features(p, batch.inputs)
             return float(np.sum(fb.z * g))
 
-        grads = backward(params, batch, g, None)
+        no_logits = np.zeros((batch.z.shape[0], params.num_classes))
+        grads = backward(params, batch, g, no_logits)
         numeric = numeric_gradient(params, loss_fn)
         for name in ("w1", "b1", "w2", "b2"):
             assert relative_error(getattr(grads, name), numeric[name]) < 1e-6
@@ -155,15 +151,19 @@ class TestBackward:
         gz = rng.standard_normal(batch.z.shape)
         gl = rng.standard_normal((batch.z.shape[0], params.num_classes))
         both = backward(params, batch, gz, gl)
-        only_z = backward(params, batch, gz, None)
-        only_l = backward(params, batch, None, gl)
+        only_z = backward(params, batch, gz, np.zeros_like(gl))
+        only_l = backward(params, batch, np.zeros_like(gz), gl)
         assert np.allclose(both.flat, only_z.flat + only_l.flat)
 
     def test_shape_check(self):
         params = tiny_params()
         batch = tiny_batch(params)
+        gz = np.zeros_like(batch.z)
+        gl = np.zeros((batch.z.shape[0], params.num_classes))
         with pytest.raises(ShapeMismatchError):
-            backward(params, batch, np.zeros((1, 1)), None)
+            backward(params, batch, np.zeros((1, 1)), gl)
+        with pytest.raises(ShapeMismatchError):
+            backward(params, batch, gz, np.zeros((1, 1)))
 
 
 class TestSgdStep:
@@ -180,50 +180,56 @@ class TestSgdStep:
         p2 = p1 - 0.1 * buf2
 
         w1 = slice(0, p0.size)
-        assert sgd_step(params, g, config) is None
+        buf = np.zeros(params.flat.size)
+        assert sgd_step(params, g, buf, config) is None
         assert np.allclose(params.w1, p1)
-        assert np.allclose(params.momentum[w1].reshape(p0.shape), buf1)
-        sgd_step(params, g, config)
+        assert np.allclose(buf[w1].reshape(p0.shape), buf1)
+        sgd_step(params, g, buf, config)
         assert np.allclose(params.w1, p2)
-        assert np.allclose(params.momentum[w1].reshape(p0.shape), buf2)
+        assert np.allclose(buf[w1].reshape(p0.shape), buf2)
 
     def test_does_not_mutate_input(self):
-        # the weights and momentum change in place; the gradients must not
+        # the weights and the buffer change in place; the gradients must not
         params = tiny_params()
         g = filled_like(params, 0.5)
+        buf = np.zeros(params.flat.size)
         frozen = g.flat.copy()
-        sgd_step(params, g, OptimizerConfig(momentum=0.9, weight_decay=0.1))
-        sgd_step(params, g, OptimizerConfig(momentum=0.9, weight_decay=0.1))
+        sgd_step(params, g, buf, OptimizerConfig(momentum=0.9, weight_decay=0.1))
+        sgd_step(params, g, buf, OptimizerConfig(momentum=0.9, weight_decay=0.1))
         assert np.array_equal(g.flat, frozen)
-        assert not np.shares_memory(params.momentum, g.flat)
-        assert not np.shares_memory(params.momentum, params.flat)
+        assert (buf != 0).all()
+        assert not np.shares_memory(buf, g.flat)
+        assert not np.shares_memory(buf, params.flat)
 
     def test_zero_momentum_is_plain_sgd(self):
         config = OptimizerConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.0)
         params = tiny_params()
         expected = params.w1 - 1.0
-        sgd_step(params, filled_like(params, 2.0), config)
+        sgd_step(params, filled_like(params, 2.0), np.zeros(params.flat.size),
+                 config)
         assert np.allclose(params.w1, expected)
 
     def test_rejects_nonfinite(self):
         params = tiny_params()
-        params.momentum[-params.c.size :] += 0.5
+        buf = np.zeros(params.flat.size)
+        buf[-params.c.size :] += 0.5
         weights = params.flat.copy()
-        momentum = params.momentum.copy()
+        momentum = buf.copy()
         # the bad entry sits in the last field, after five finite ones
         g = filled_like(params, 1.0)
         g.c[:] = np.nan
         with pytest.raises(NonfiniteGradientError):
-            sgd_step(params, g, OptimizerConfig())
+            sgd_step(params, g, buf, OptimizerConfig())
         # backward leaves the check to sgd_step
         batch = tiny_batch(params)
         bad = np.full(batch.z.shape, np.inf)
+        no_logits = np.zeros((batch.z.shape[0], params.num_classes))
         with np.errstate(invalid="ignore"):
-            grads = backward(params, batch, bad, None)
+            grads = backward(params, batch, bad, no_logits)
             with pytest.raises(NonfiniteGradientError):
-                sgd_step(params, grads, OptimizerConfig())
+                sgd_step(params, grads, buf, OptimizerConfig())
         assert np.array_equal(params.flat, weights)
-        assert np.array_equal(params.momentum, momentum)
+        assert np.array_equal(buf, momentum)
 
     def test_optimizer_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -239,21 +245,10 @@ class TestSgdStep:
 class TestModelParams:
     def test_copy_isolation(self):
         params = tiny_params()
-        params.momentum += 2.0
         clone = params.copy()
-        assert np.array_equal(clone.momentum, params.momentum)
         clone.w1 += 1.0
-        clone.momentum += 1.0
         assert not np.array_equal(clone.w1, params.w1)
         assert not np.shares_memory(clone.flat, params.flat)
-        assert (params.momentum == 2.0).all()
-
-    def test_copy_reset_momentum(self):
-        params = tiny_params()
-        params.momentum += 3.0
-        fresh = params.copy(reset_momentum=True)
-        assert (fresh.momentum == 0).all()
-        assert np.array_equal(fresh.flat, params.flat)
 
     def test_flat_layout(self):
         params = tiny_params()
@@ -279,7 +274,9 @@ class TestModelParams:
 
     def test_backward_gradients_share_the_layout(self):
         params = tiny_params()
-        grads = backward(params, tiny_batch(params), None, None)
+        batch = tiny_batch(params)
+        grads = backward(params, batch, np.zeros_like(batch.z),
+                         np.zeros((batch.z.shape[0], params.num_classes)))
         assert isinstance(grads, ModelParams)
         assert grads.flat.shape == params.flat.shape
         assert not np.shares_memory(grads.flat, params.flat)
