@@ -113,8 +113,8 @@ class PartitionConfig:
             raise InvalidArgumentError(f"unknown partition scheme '{self.scheme}'")
         if self.num_clients < 2:
             raise InvalidArgumentError("num_clients must be >= 2")
-        if self.alpha <= 0:
-            raise InvalidArgumentError("alpha must be > 0")
+        if not 0 < self.alpha < np.inf:
+            raise InvalidArgumentError("alpha must be finite and > 0")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be >= 0")
 
@@ -144,8 +144,8 @@ def generate_gaussian_blobs(
         raise InvalidArgumentError("per_class_count must be >= 1")
     if dim < 2:
         raise InvalidArgumentError("dim must be >= 2")
-    if separation <= 0:
-        raise InvalidArgumentError("separation must be > 0")
+    if not 0 < separation < np.inf:
+        raise InvalidArgumentError("separation must be finite and > 0")
 
     rng = np.random.default_rng(seed)
     radius = separation * max(1.0, float(num_classes) ** (1.0 / dim))
@@ -220,8 +220,8 @@ def partition_dirichlet(
     """
     if num_clients < 1:
         raise InvalidArgumentError("num_clients must be >= 1")
-    if alpha <= 0:
-        raise InvalidArgumentError("alpha must be > 0")
+    if not 0 < alpha < np.inf:
+        raise InvalidArgumentError("alpha must be finite and > 0")
     if num_clients > dataset.num_samples:
         raise InvalidArgumentError(
             f"cannot split {dataset.num_samples} samples across {num_clients} clients"
@@ -315,8 +315,8 @@ def partition_biased(
 
 def long_tail_profile(n_max: int, num_classes: int, rho: float) -> np.ndarray:
     """Kept-per-class counts floor(n_max * rho^(-j / (num_classes - 1)))."""
-    if rho < 1:
-        raise InvalidArgumentError("rho must be >= 1")
+    if not 1 <= rho < np.inf:
+        raise InvalidArgumentError("rho must be finite and >= 1")
     if num_classes < 2:
         raise InvalidArgumentError("num_classes must be >= 2")
     j = np.arange(num_classes)

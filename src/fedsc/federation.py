@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ClientDataset, Dataset, PartitionConfig, partition_dataset, split_holdout
+from .data import ClientDataset, Dataset, PartitionConfig, partition_dataset
 from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
@@ -36,7 +36,6 @@ from .model import (
     sgd_step,
 )
 from .prototypes import (
-    Collaboration,
     ConsistentSet,
     PrototypeSet,
     RelationalSet,
@@ -83,8 +82,8 @@ class FederationConfig:
             raise InvalidArgumentError("participation_fraction must lie in (0, 1]")
         if self.neighbors < 0:
             raise InvalidArgumentError("neighbors must be >= 0")
-        if self.temperature <= 0:
-            raise InvalidArgumentError("temperature must be > 0")
+        if not 0 < self.temperature < np.inf:
+            raise InvalidArgumentError("temperature must be finite and > 0")
         if self.algorithm not in ("fedavg", "fedsc"):
             raise InvalidArgumentError(f"unknown algorithm '{self.algorithm}'")
         if self.cpdr_norm not in CPDR_NORMS:
@@ -103,10 +102,8 @@ class FederationConfig:
 class ClientUpdate:
     """What one client sends back: new weights, prototypes, loss means."""
 
-    client_id: int
     params: ModelParams
     prototypes: PrototypeSet
-    num_samples: int
     ce: float
     rpcl: float
     cpdr: float
@@ -126,28 +123,21 @@ class RoundMetrics:
 
 @dataclass
 class ServerState:
-    """Global model plus the latest report from every client seen so far."""
+    """What the next round reads: the global model, each client's latest
+    prototypes by client id, and the relational and consistent prototypes
+    built from them (None until round 1 ends)."""
 
     params: ModelParams
     round_index: int = 0
     latest_prototypes: dict[int, PrototypeSet] = field(default_factory=dict)
-    latest_class_counts: dict[int, np.ndarray] = field(default_factory=dict)
-    collaboration: Collaboration | None = None
-
-    @property
-    def relational(self) -> RelationalSet | None:
-        return self.collaboration.relational if self.collaboration else None
-
-    @property
-    def consistent(self) -> ConsistentSet | None:
-        return self.collaboration.consistent if self.collaboration else None
+    relational: RelationalSet | None = None
+    consistent: ConsistentSet | None = None
 
 
 @dataclass
 class ExperimentResult:
     metrics: list[RoundMetrics]
     state: ServerState
-    test: Dataset
 
 
 def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
@@ -166,11 +156,11 @@ def run_client(
 ) -> ClientUpdate:
     """Local epochs of minibatch SGD, then prototypes from the final extractor.
 
-    The momentum buffer starts at zero on every call.  When relational and
-    consistent prototypes are provided (and the algorithm is fedsc) the
-    composite loss applies; otherwise training is plain cross-entropy.
-    Distance normalizers are recomputed from a feature snapshot at the start
-    of every epoch.
+    The momentum buffer starts at zero on every call.  The composite loss
+    applies exactly when both relational and consistent prototypes are
+    given; otherwise training is plain cross-entropy.  The server decides
+    which: :func:`run_round` sends fedavg clients none.  Distance normalizers
+    are recomputed from a feature snapshot at the start of every epoch.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _TAG_CLIENT, round_index,
@@ -178,11 +168,7 @@ def run_client(
     )
     params = global_params.copy()
     buf = np.zeros(params.flat.size)
-    use_protos = (
-        config.algorithm == "fedsc"
-        and relational is not None
-        and consistent is not None
-    )
+    use_protos = relational is not None and consistent is not None
     x, y = dataset.features, dataset.labels
     sums = np.zeros(4)
     batches = 0
@@ -210,8 +196,7 @@ def run_client(
     prototypes = prototypes_from_features(final_z, y, dataset.num_classes,
                                           owner=dataset.client_id)
     ce, rpcl, cpdr, tot = (sums / batches).tolist()
-    return ClientUpdate(dataset.client_id, params, prototypes, dataset.total,
-                        ce, rpcl, cpdr, tot)
+    return ClientUpdate(params, prototypes, ce, rpcl, cpdr, tot)
 
 
 def aggregate_models(
@@ -235,13 +220,6 @@ def aggregate_models(
     return base.with_flat(acc)
 
 
-def _rebuild_collaboration(state: ServerState, config: FederationConfig) -> None:
-    ids = sorted(state.latest_prototypes)
-    sets = [state.latest_prototypes[i] for i in ids]
-    counts = np.stack([state.latest_class_counts[i] for i in ids])
-    state.collaboration = build_collaboration(sets, counts, config.neighbors)
-
-
 def run_round(
     state: ServerState,
     clients: list[ClientDataset],
@@ -251,6 +229,7 @@ def run_round(
 ) -> tuple[ServerState, RoundMetrics]:
     """One federated round: sample, train, aggregate, rebuild prototypes.
 
+    Only fedsc clients receive the relational and consistent prototypes.
     Clients run independently (on a thread pool when ``config.threads`` > 1);
     updates are merged in the order of ``clients`` and the prototype rebuild
     walks clients in ascending id order, so results do not depend on
@@ -263,7 +242,8 @@ def run_round(
     selected = np.sort(rng.choice(k, size=num_selected, replace=False))
     chosen = [clients[i] for i in selected]
 
-    relational, consistent = state.relational, state.consistent
+    relational, consistent = ((state.relational, state.consistent)
+                              if config.algorithm == "fedsc" else (None, None))
 
     def train(client: ClientDataset) -> ClientUpdate:
         return run_client(state.params, client, config, state.round_index,
@@ -275,11 +255,16 @@ def run_round(
     else:
         updates = [train(c) for c in chosen]
 
-    state.params = aggregate_models([(u.params, u.num_samples) for u in updates])
+    state.params = aggregate_models(
+        [(u.params, c.total) for u, c in zip(updates, chosen)])
     for update, client in zip(updates, chosen):
-        state.latest_prototypes[update.client_id] = update.prototypes
-        state.latest_class_counts[update.client_id] = client.class_counts
-    _rebuild_collaboration(state, config)
+        state.latest_prototypes[client.client_id] = update.prototypes
+    # built for fedavg too: perfbench's loss probe reads a fedavg state.relational
+    ids = sorted(state.latest_prototypes)
+    counts = {c.client_id: c.class_counts for c in clients}
+    built = build_collaboration([state.latest_prototypes[i] for i in ids],
+                                np.stack([counts[i] for i in ids]), config.neighbors)
+    state.relational, state.consistent = built.relational, built.consistent
 
     accuracy = evaluate_accuracy(state.params, test.features, test.labels)
     means = np.mean([(u.total, u.ce, u.rpcl, u.cpdr) for u in updates], axis=0)
@@ -294,14 +279,13 @@ def run_experiment(
     config: FederationConfig,
     dataset: Dataset,
     partition: PartitionConfig,
-    test: Dataset | None = None,
+    test: Dataset,
 ) -> ExperimentResult:
     """Partition a dataset, run the configured number of rounds, return metrics.
 
-    When ``test`` is None, a balanced per-class split (``split_holdout``'s
-    default fraction) is held out before partitioning; a given ``test`` must
-    have the dataset's dim and class count.  The partition's client count
-    must match the federation config.
+    Every round is evaluated on ``test``, which must have the dataset's dim
+    and class count.  The partition's client count must match the
+    federation config.
     """
     if dataset.num_samples == 0:
         raise EmptyDatasetError("cannot run on an empty dataset")
@@ -310,9 +294,7 @@ def run_experiment(
             f"partition has {partition.num_clients} clients, "
             f"config expects {config.num_clients}"
         )
-    if test is None:
-        dataset, test = split_holdout(dataset, seed=partition.seed)
-    elif (test.dim, test.num_classes) != (dataset.dim, dataset.num_classes):
+    if (test.dim, test.num_classes) != (dataset.dim, dataset.num_classes):
         raise DimensionMismatchError(
             f"test set has dim={test.dim}, num_classes={test.num_classes}; "
             f"train set has dim={dataset.dim}, num_classes={dataset.num_classes}"
@@ -329,7 +311,7 @@ def run_experiment(
     for _ in range(config.rounds):
         state, round_metrics = run_round(state, clients, config, sampler, test)
         metrics.append(round_metrics)
-    return ExperimentResult(metrics, state, test)
+    return ExperimentResult(metrics, state)
 
 
 def rounds_to_accuracy(metrics: list[RoundMetrics], threshold: float) -> int | None:

@@ -109,12 +109,12 @@ class OptimizerConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise InvalidArgumentError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise InvalidArgumentError("learning_rate must be finite and >= 0")
         if not 0 <= self.momentum < 1:
             raise InvalidArgumentError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise InvalidArgumentError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise InvalidArgumentError("weight_decay must be finite and >= 0")
         if self.batch_size < 1:
             raise InvalidArgumentError("batch_size must be >= 1")
 

@@ -50,8 +50,7 @@ class PrototypeSet:
 class GlobalPrototypes:
     """Average of client prototypes over the clients that hold each class."""
 
-    vectors: np.ndarray        # (num_classes, d)
-    support_count: np.ndarray  # (num_classes,) int
+    vectors: np.ndarray  # (num_classes, d)
 
 
 @dataclass
@@ -83,8 +82,6 @@ class DiscrepancyWeights:
 
     discrepancies: np.ndarray  # (num_clients,)
     weights: np.ndarray        # (num_clients,) nonnegative, sums to 1
-    a: float
-    b: float
 
 
 @dataclass
@@ -130,7 +127,7 @@ def prototypes_from_features(
 def compute_global_prototypes(sets: list[PrototypeSet]) -> GlobalPrototypes:
     """Average client prototypes per class over the clients that hold it.
 
-    A class no client holds gets a zero row and support_count 0.
+    A class no client holds gets a zero row.
     """
     if not sets:
         raise InvalidArgumentError("need at least one prototype set")
@@ -140,7 +137,7 @@ def compute_global_prototypes(sets: list[PrototypeSet]) -> GlobalPrototypes:
     masked = np.where(present[:, :, None], vectors, 0.0)
     totals = masked.sum(axis=0)
     denom = np.maximum(support, 1)[:, None]
-    return GlobalPrototypes(totals / denom, support.astype(np.int64))
+    return GlobalPrototypes(totals / denom)
 
 
 def angular_differences(
@@ -148,14 +145,13 @@ def angular_differences(
 ) -> AngularTable:
     """Cosine similarity phi[j, k] between g_j and client k's prototype.
 
-    Entries are valid where the client holds the class and the class has
-    global support.  A zero-norm prototype on a valid entry is degenerate;
-    the error names the first such entry in client-major order.
+    Entries are valid where the client holds the class.  A zero-norm
+    prototype on a valid entry is degenerate; the error names the first such
+    entry in client-major order.
     """
     g = global_prototypes.vectors                       # (C, d)
     vectors = np.stack([s.vectors for s in sets])       # (K, C, d)
-    present = np.stack([s.present for s in sets])       # (K, C)
-    valid = present & (global_prototypes.support_count > 0)
+    valid = np.stack([s.present for s in sets])         # (K, C)
     g_norm = np.linalg.norm(g, axis=1)
     c_norm = np.linalg.norm(vectors, axis=2)
     degenerate = valid & ((g_norm < _EPS) | (c_norm < _EPS))
@@ -256,7 +252,7 @@ def aggregation_weights(
     d_total = d.sum()
     b = 0.0 if d_total == 0 else 1.0 / d_total
     raw = 1.0 / (1.0 + np.exp(-(a * n - b * d)))
-    return DiscrepancyWeights(d, raw / raw.sum(), a, b)
+    return DiscrepancyWeights(d, raw / raw.sum())
 
 
 def consistent_prototypes(

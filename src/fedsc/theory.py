@@ -54,6 +54,10 @@ class TheoryConstants:
     l_star: float | None = None
 
     def __post_init__(self):
+        for name in ("l1", "l2", "b", "sigma_sq", "eta", "xi", "l0", "l_star"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise InvalidConstantsError(f"{name} must be finite, got {value}")
         if self.l1 <= 0:
             raise InvalidConstantsError("l1 must be > 0")
         if self.l2 < 0:

@@ -111,6 +111,9 @@ class TestGenerateGaussianBlobs:
             generate_gaussian_blobs(3, 10, 1)
         with pytest.raises(InvalidArgumentError):
             generate_gaussian_blobs(3, 10, 3, separation=0.0)
+        for separation in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                generate_gaussian_blobs(3, 10, 3, separation=separation)
 
 
 class TestSplitHoldout:
@@ -212,6 +215,8 @@ class TestPartitionDirichlet:
         with pytest.raises(InvalidArgumentError):
             partition_dirichlet(ds, 3, 0.0)
         with pytest.raises(InvalidArgumentError):
+            partition_dirichlet(ds, 3, math.nan)
+        with pytest.raises(InvalidArgumentError):
             partition_dirichlet(ds, ds.num_samples + 1, 0.2)
 
 
@@ -273,6 +278,11 @@ class TestLongTail:
         profile = long_tail_profile(500, 10, 200.0)
         assert profile[0] / profile[-1] == 250.0
 
+    def test_profile_rejects_rho_below_one_or_nonfinite(self):
+        for rho in (0.5, math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                long_tail_profile(10, 3, rho)
+
     def test_apply_identity_at_rho_one(self):
         ds = small_blobs()
         thinned = apply_long_tail(ds, 1.0, seed=0)
@@ -323,6 +333,9 @@ class TestPartitionDataset:
             PartitionConfig(num_clients=1)
         with pytest.raises(InvalidArgumentError):
             PartitionConfig(alpha=0.0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                PartitionConfig(alpha=alpha)
         with pytest.raises(InvalidArgumentError):
             PartitionConfig(scheme="long_tailed")
         with pytest.raises(InvalidArgumentError):

@@ -28,7 +28,12 @@ from fedsc.federation import (
     write_metrics_csv,
     write_run_metadata,
 )
-from fedsc.model import OptimizerConfig, forward_features, init_params
+from fedsc.model import (
+    OptimizerConfig,
+    evaluate_accuracy,
+    forward_features,
+    init_params,
+)
 from fedsc.prototypes import prototypes_from_features
 
 
@@ -57,6 +62,12 @@ def small_partition(**overrides):
     return PartitionConfig(**defaults)
 
 
+def small_run(config, ds=None):
+    """``run_experiment`` on ``small_partition()``, tested on a 10% holdout."""
+    train, test = split_holdout(small_dataset() if ds is None else ds, seed=3)
+    return run_experiment(config, train, small_partition(), test=test)
+
+
 class TestFederationConfig:
     def test_validation(self):
         for bad in (
@@ -67,6 +78,8 @@ class TestFederationConfig:
             dict(participation_fraction=1.5),
             dict(neighbors=-1),
             dict(temperature=0.0),
+            dict(temperature=float("nan")),
+            dict(temperature=float("inf")),
             dict(algorithm="fedprox"),
             dict(cpdr_norm="linf"),
             dict(threads=0),
@@ -127,7 +140,7 @@ class TestRunClient:
         # the second call train differently
         ds = small_dataset()
         config = small_config(local_epochs=2, algorithm="fedsc")
-        state = run_experiment(config, ds, small_partition()).state
+        state = small_run(config, ds).state
         client = max(partition_dataset(ds, small_partition()),
                      key=lambda c: c.total)
         a, b = (run_client(state.params, client, config, 3, state.relational,
@@ -135,6 +148,20 @@ class TestRunClient:
         assert a.rpcl > 0.0 and a.cpdr > 0.0
         assert a.params.flat.tobytes() == b.params.flat.tobytes()
         assert (a.ce, a.rpcl, a.cpdr) == (b.ce, b.rpcl, b.cpdr)
+
+    def test_prototype_terms_follow_the_sets_given(self):
+        # the server decides the algorithm: given both sets, a fedavg config
+        # trains the composite loss exactly as a fedsc config does
+        ds = small_dataset()
+        state = small_run(small_config(algorithm="fedsc"), ds).state
+        client = max(partition_dataset(ds, small_partition()),
+                     key=lambda c: c.total)
+        fedavg, fedsc = (
+            run_client(state.params, client, small_config(algorithm=alg), 3,
+                       state.relational, state.consistent)
+            for alg in ("fedavg", "fedsc"))
+        assert fedavg.rpcl > 0.0 and fedavg.cpdr > 0.0
+        assert fedavg.params.flat.tobytes() == fedsc.params.flat.tobytes()
 
 
 class TestAggregateModels:
@@ -167,26 +194,31 @@ class TestRunRound:
     def test_reports_keep_their_client_when_not_in_id_order(self):
         ds = small_dataset()
         clients = partition_dataset(ds, small_partition())
-        state = ServerState(init_params(4, 8, 6, 3, seed=0))
-        run_round(state, clients[::-1], small_config(rounds=1),
-                  np.random.default_rng(0), ds)
-        assert sorted(state.latest_class_counts) == [c.client_id for c in clients]
+        states = []
+        for order in (clients, clients[::-1]):
+            state = ServerState(init_params(4, 8, 6, 3, seed=0))
+            run_round(state, order, small_config(rounds=1),
+                      np.random.default_rng(0), ds)
+            states.append(state)
+        # the build pairs each report with its client's class counts, in
+        # ascending id order, whatever the order of ``clients``
+        ordered, reversed_ = states
+        assert ordered.relational.r.tobytes() == reversed_.relational.r.tobytes()
+        assert ordered.consistent.o.tobytes() == reversed_.consistent.o.tobytes()
         for client in clients:
-            counts = state.latest_class_counts[client.client_id]
-            assert np.array_equal(counts, client.class_counts)
-            protos = state.latest_prototypes[client.client_id]
+            protos = reversed_.latest_prototypes[client.client_id]
             assert protos.owner == client.client_id
-            assert np.array_equal(protos.present, counts > 0)
+            assert np.array_equal(protos.present, client.class_counts > 0)
 
 
 class TestRunExperiment:
     def test_metrics_shape_and_state(self):
-        result = run_experiment(small_config(), small_dataset(), small_partition())
+        result = small_run(small_config())
         assert len(result.metrics) == 2
         assert [m.round for m in result.metrics] == [1, 2]
         assert result.state.round_index == 2
         assert 0.0 <= result.metrics[-1].accuracy <= 1.0
-        assert result.state.collaboration is not None
+        assert result.state.consistent is not None
 
     def test_round_one_algorithm_invariance(self):
         # no prototypes exist during round 1, so both algorithms train CE-only
@@ -194,7 +226,7 @@ class TestRunExperiment:
         runs = {}
         for alg in ("fedavg", "fedsc"):
             config = small_config(rounds=1, algorithm=alg)
-            runs[alg] = run_experiment(config, ds, small_partition())
+            runs[alg] = small_run(config, ds)
         assert np.array_equal(
             runs["fedavg"].state.params.flat,
             runs["fedsc"].state.params.flat,
@@ -203,16 +235,15 @@ class TestRunExperiment:
 
     def test_seed_determinism(self):
         ds = small_dataset()
-        a = run_experiment(small_config(), ds, small_partition())
-        b = run_experiment(small_config(), ds, small_partition())
+        a = small_run(small_config(), ds)
+        b = small_run(small_config(), ds)
         assert np.array_equal(a.state.params.flat, b.state.params.flat)
         assert [m.accuracy for m in a.metrics] == [m.accuracy for m in b.metrics]
 
     def test_threads_do_not_change_results(self):
         ds = small_dataset()
-        serial = run_experiment(small_config(rounds=3), ds, small_partition())
-        pooled = run_experiment(small_config(rounds=3, threads=4), ds,
-                                small_partition())
+        serial = small_run(small_config(rounds=3), ds)
+        pooled = small_run(small_config(rounds=3, threads=4), ds)
         assert np.array_equal(serial.state.params.flat,
                               pooled.state.params.flat)
         for a, b in zip(serial.metrics, pooled.metrics):
@@ -222,16 +253,17 @@ class TestRunExperiment:
     def test_partial_participation_keeps_stale_reports(self):
         config = small_config(rounds=3, participation_fraction=0.5,
                               algorithm="fedsc")
-        result = run_experiment(config, small_dataset(), small_partition())
+        result = small_run(config)
         # two clients train per round; earlier reports stay on the server
         assert len(result.state.latest_prototypes) >= 2
-        assert result.state.collaboration is not None
+        assert result.state.consistent is not None
 
     def test_explicit_test_set_is_used(self):
         ds = small_dataset()
         train, test = split_holdout(ds, 0.5, seed=0)
         result = run_experiment(small_config(), train, small_partition(), test=test)
-        assert result.test is test
+        final = evaluate_accuracy(result.state.params, test.features, test.labels)
+        assert result.metrics[-1].accuracy == final
 
     def test_test_set_of_another_shape_rejected(self):
         train = small_dataset()
@@ -244,13 +276,14 @@ class TestRunExperiment:
             assert "dim=4, num_classes=3" in message
 
     def test_client_count_mismatch_rejected(self):
+        train, test = split_holdout(small_dataset(), seed=3)
         with pytest.raises(InvalidArgumentError):
-            run_experiment(small_config(num_clients=5), small_dataset(),
-                           small_partition(num_clients=4))
+            run_experiment(small_config(num_clients=5), train,
+                           small_partition(num_clients=4), test=test)
 
     def test_fedavg_ignores_prototypes(self):
         config = small_config(rounds=2, algorithm="fedavg")
-        result = run_experiment(config, small_dataset(), small_partition())
+        result = small_run(config)
         assert all(m.loss_rpcl == 0.0 and m.loss_cpdr == 0.0
                    for m in result.metrics)
 
@@ -277,7 +310,7 @@ class TestDeterminismOracle:
     @pytest.mark.parametrize("algorithm", ["fedsc", "fedavg"])
     def test_rows_match_recorded(self, tmp_path, algorithm):
         config = small_config(rounds=3, local_epochs=2, algorithm=algorithm)
-        result = run_experiment(config, small_dataset(), small_partition())
+        result = small_run(config)
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, result.metrics)
         rows = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]

@@ -240,6 +240,10 @@ class TestSgdStep:
             OptimizerConfig(weight_decay=-0.1)
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(batch_size=0)
+        for bad in (dict(learning_rate=np.nan), dict(learning_rate=np.inf),
+                    dict(weight_decay=np.nan), dict(weight_decay=np.inf)):
+            with pytest.raises(InvalidArgumentError):
+                OptimizerConfig(**bad)
 
 
 class TestModelParams:

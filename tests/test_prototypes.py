@@ -65,12 +65,10 @@ class TestGlobalPrototypes:
         g = compute_global_prototypes(sets)
         assert np.allclose(g.vectors[0], [2.0, 0.0])
         assert np.allclose(g.vectors[1], [0.0, 2.0])
-        assert g.support_count.tolist() == [2, 1]
 
     def test_missing_class_gets_zero_row(self):
         sets = [proto([[1.0, 0.0], [5.0, 5.0]], present=[True, False])]
         g = compute_global_prototypes(sets)
-        assert g.support_count.tolist() == [1, 0]
         assert np.allclose(g.vectors[1], 0.0)
 
     def test_needs_at_least_one_set(self):
@@ -243,8 +241,10 @@ class TestAggregationWeights:
         # sigmoid(n_k / N - d_k / D), normalized
         assert w.weights[0] == pytest.approx(0.675536322989, abs=1e-9)
         assert w.weights[1] == pytest.approx(0.324463677011, abs=1e-9)
-        assert w.a == pytest.approx(1e-3)
-        assert w.b == pytest.approx(1 / 0.6)
+        # closed form with a = 1 / sum(n) and b = 1 / sum(d)
+        raw = 1 / (1 + np.exp(-(np.array([900.0, 100.0]) / 1000
+                                - np.array([0.1, 0.5]) / 0.6)))
+        assert np.allclose(w.weights, raw / raw.sum(), rtol=0, atol=1e-15)
 
     def test_symmetry_gives_uniform(self):
         for k in (2, 5, 9):
@@ -253,7 +253,9 @@ class TestAggregationWeights:
 
     def test_zero_discrepancies_disable_b(self):
         w = aggregation_weights(np.array([10.0, 20.0]), np.zeros(2))
-        assert w.b == 0.0
+        # b = 0, so e_k = sigmoid(n_k / sum(n)) normalized
+        raw = 1 / (1 + np.exp(-np.array([10.0, 20.0]) / 30))
+        assert np.allclose(w.weights, raw / raw.sum(), rtol=0, atol=1e-15)
         assert w.weights.sum() == pytest.approx(1.0)
 
     def test_balanced_client_outweighs_skewed(self):
@@ -275,7 +277,7 @@ class TestConsistentPrototypes:
             np.array([[[0.0, 0.0], [4.0, 8.0]]]),
             np.ones((1, 2), dtype=bool),
         )
-        weights = DiscrepancyWeights(np.zeros(2), np.array([0.25, 0.75]), 0.0, 0.0)
+        weights = DiscrepancyWeights(np.zeros(2), np.array([0.25, 0.75]))
         out = consistent_prototypes(rel, weights)
         assert np.allclose(out.o[0], [3.0, 6.0])
         assert out.present.tolist() == [True]
@@ -285,21 +287,21 @@ class TestConsistentPrototypes:
             np.array([[[2.0, 0.0], [10.0, 10.0], [4.0, 2.0]]]),
             np.array([[True, False, True]]),
         )
-        weights = DiscrepancyWeights(np.zeros(3), np.array([0.2, 0.5, 0.3]), 0.0, 0.0)
+        weights = DiscrepancyWeights(np.zeros(3), np.array([0.2, 0.5, 0.3]))
         out = consistent_prototypes(rel, weights)
         expected = (0.2 * np.array([2.0, 0.0]) + 0.3 * np.array([4.0, 2.0])) / 0.5
         assert np.allclose(out.o[0], expected)
 
     def test_missing_class_is_not_present(self):
         rel = RelationalSet(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
-        weights = DiscrepancyWeights(np.zeros(2), np.array([0.5, 0.5]), 0.0, 0.0)
+        weights = DiscrepancyWeights(np.zeros(2), np.array([0.5, 0.5]))
         out = consistent_prototypes(rel, weights)
         assert out.present.tolist() == [False]
         assert np.array_equal(out.o, np.zeros((1, 2)))
 
     def test_weight_shape_checked(self):
         rel = RelationalSet(np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool))
-        weights = DiscrepancyWeights(np.zeros(3), np.full(3, 1 / 3), 0.0, 0.0)
+        weights = DiscrepancyWeights(np.zeros(3), np.full(3, 1 / 3))
         with pytest.raises(DimensionMismatchError):
             consistent_prototypes(rel, weights)
 

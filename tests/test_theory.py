@@ -61,6 +61,14 @@ class TestTheoryConstants:
             dict(xi=0.0),
             dict(l0=1.0),                 # l0 without l_star
             dict(l0=1.0, l_star=2.0),     # l_star above l0
+            dict(l1=math.nan),
+            dict(l2=math.nan),
+            dict(b=math.inf),
+            dict(sigma_sq=math.nan),
+            dict(eta=math.nan),
+            dict(xi=math.nan),
+            dict(l0=math.nan, l_star=0.1),
+            dict(l0=1.0, l_star=-math.inf),
         ):
             with pytest.raises(InvalidConstantsError):
                 constants(**bad)
