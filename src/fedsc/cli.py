@@ -91,22 +91,20 @@ _PRESETS = {
     "desk": {"rounds": 30, "local_epochs": 5},
 }
 
+# a field's annotation (a string under postponed evaluation) -> its parser
+_PARSERS = {"int": int, "float": float}
+
 # num_clients and seed feed both PartitionConfig and FederationConfig
 _FIELD_TYPES = {
-    f.name: f.type
+    f.name: _PARSERS.get(f.type, str)
     for config in (RunConfig, PartitionConfig, FederationConfig, OptimizerConfig)
     for f in fields(config) if f.name != "optimizer"
 }
 
 
 def _coerce(field_name: str, raw: str):
-    kind = _FIELD_TYPES[field_name]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return _FIELD_TYPES[field_name](raw)
     except ValueError as exc:
         raise InvalidConfigError(f"key '{field_name}': {exc}") from exc
 
@@ -157,7 +155,7 @@ def _resolve_run_config(
         except ValueError as exc:
             raise InvalidConfigError(f"FEDSC_SEED must be an integer: {exc}") from exc
     for name, value in values.items():
-        if _FIELD_TYPES[name] == "float" and not math.isfinite(value):
+        if _FIELD_TYPES[name] is float and not math.isfinite(value):
             raise InvalidConfigError(f"{name} must be finite, got {value}")
 
     def build(config, **nested):
@@ -245,7 +243,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 # TheoryConstants' fields, plus l_re: the loss theorem 1 starts from
-_CONSTANT_KEYS = {f.name: int if f.type == "int" else float
+_CONSTANT_KEYS = {f.name: _PARSERS.get(f.type, float)
                   for f in fields(TheoryConstants)} | {"l_re": float}
 
 
@@ -298,13 +296,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="INI-style config file")
     parser.add_argument("--preset", help="named preset (desk)")
     for name, kind in _FIELD_TYPES.items():
-        flag = "--" + name.replace("_", "-")
-        if kind == "int":
-            parser.add_argument(flag, type=int, default=None)
-        elif kind == "float":
-            parser.add_argument(flag, type=float, default=None)
-        else:
-            parser.add_argument(flag, default=None)
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -51,8 +51,9 @@ class Dataset:
         if self.labels.size and (
             self.labels.min() < 1 or self.labels.max() > self.num_classes
         ):
+            row = int(np.argmax((self.labels < 1) | (self.labels > self.num_classes)))
             raise InvalidArgumentError(
-                f"labels must lie in 1..{self.num_classes}"
+                f"row {row} has label {self.labels[row]} outside 1..{self.num_classes}"
             )
 
     @property
@@ -400,10 +401,7 @@ def load_dataset(path) -> Dataset:
     if not finite.all():
         row = int(np.argmin(finite))
         raise InvalidArgumentError(f"{path}: row {row} has a NaN or infinite feature")
-    outside = (labels < 1) | (labels > num_classes)
-    if outside.any():
-        row = int(np.argmax(outside))
-        raise InvalidArgumentError(
-            f"{path}: row {row} has label {labels[row]} outside 1..{num_classes}"
-        )
-    return Dataset(features, labels, num_classes)
+    try:
+        return Dataset(features, labels, num_classes)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc

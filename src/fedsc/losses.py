@@ -51,8 +51,8 @@ class SimilarityContext:
     tau: float = 0.05
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidArgumentError("tau must be > 0")
+        if not 0 < self.tau < np.inf:
+            raise InvalidArgumentError("tau must be finite and > 0")
 
 
 @dataclass

@@ -31,8 +31,9 @@ _EPS = 1e-12
 class PrototypeSet:
     """One client's per-class feature means.
 
-    ``vectors[j]`` is meaningful only where ``present[j]`` is True (the owner
-    holds at least one sample of class j + 1).
+    ``present[j]`` is True where the owner holds at least one sample of class
+    j + 1.  The rows of absent classes are zeroed on construction, into a new
+    array, whatever the caller passed there (NaN included).
     """
 
     vectors: np.ndarray  # (num_classes, d)
@@ -44,6 +45,7 @@ class PrototypeSet:
         self.present = np.asarray(self.present, dtype=bool)
         if self.vectors.ndim != 2 or self.present.shape != (self.vectors.shape[0],):
             raise DimensionMismatchError("prototype set shapes are inconsistent")
+        self.vectors = np.where(self.present[:, None], self.vectors, 0.0)
 
 
 @dataclass
@@ -134,10 +136,8 @@ def compute_global_prototypes(sets: list[PrototypeSet]) -> GlobalPrototypes:
     vectors = np.stack([s.vectors for s in sets])   # (K, C, d)
     present = np.stack([s.present for s in sets])   # (K, C)
     support = present.sum(axis=0)
-    masked = np.where(present[:, :, None], vectors, 0.0)
-    totals = masked.sum(axis=0)
     denom = np.maximum(support, 1)[:, None]
-    return GlobalPrototypes(totals / denom)
+    return GlobalPrototypes(vectors.sum(axis=0) / denom)
 
 
 def angular_differences(
@@ -168,9 +168,11 @@ def angular_differences(
 def build_adjacency(table: AngularTable, neighbors: int) -> AdjacencyTensor:
     """Self plus the M clients with closest angular difference, per class.
 
-    Neighbour candidates are the other clients valid for the class; ties on
-    the absolute angular difference go to the lower client index.  Rows for
-    clients that lack the class stay all-zero.
+    Neighbour candidates are the other clients valid for the class.  Each of
+    the min(M, n_valid - 1) passes takes every client's nearest remaining
+    candidate by ``argmin``, whose first minimum makes ties on the absolute
+    angular difference go to the lower client index.  Rows for clients that
+    lack the class stay all-zero.
     """
     if neighbors < 0:
         raise InvalidArgumentError("neighbors must be >= 0")
@@ -178,17 +180,14 @@ def build_adjacency(table: AngularTable, neighbors: int) -> AdjacencyTensor:
     a = np.zeros((num_classes, num_clients, num_clients), dtype=np.uint8)
     for j in range(num_classes):
         idx = np.flatnonzero(table.valid[j])
-        take = min(neighbors, idx.size - 1)
-        if take > 0:
-            phi = table.phi[j, idx]
-            diffs = np.abs(phi[None, :] - phi[:, None])  # row k: |phi_q - phi_k|
-            np.fill_diagonal(diffs, np.inf)              # never its own neighbour
-            # what a stable sort would put first: every difference below the
-            # take-th smallest, then ties at it in ascending client order
-            cut = np.partition(diffs, take - 1, axis=1)[:, take - 1, None]
-            below, tied = diffs < cut, diffs == cut
-            room = take - below.sum(axis=1, keepdims=True)
-            a[j][np.ix_(idx, idx)] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        phi = table.phi[j, idx]
+        diffs = np.abs(phi[None, :] - phi[:, None])  # row k: |phi_q - phi_k|
+        np.fill_diagonal(diffs, np.inf)              # never its own neighbour
+        rows = np.arange(idx.size)
+        for _ in range(min(neighbors, idx.size - 1)):
+            nbr = diffs.argmin(axis=1)
+            a[j, idx, idx[nbr]] = 1
+            diffs[rows, nbr] = np.inf
         a[j, idx, idx] = 1
     return AdjacencyTensor(a)
 
@@ -206,9 +205,7 @@ def relational_prototypes(
         raise DimensionMismatchError(
             f"adjacency covers {num_clients} clients, got {len(sets)} sets"
         )
-    # absent rows are meaningless (may be NaN) and 0 * NaN would leak
-    vectors = np.stack([np.where(s.present[:, None], s.vectors, 0.0)
-                        for s in sets])               # (K, C, d)
+    vectors = np.stack([s.vectors for s in sets])     # (K, C, d)
     count = adjacency.a.sum(axis=2)                   # (C, K)
     r = np.empty((num_classes, num_clients, vectors.shape[2]))
     for j in range(num_classes):

@@ -53,6 +53,11 @@ class TestDataset:
         with pytest.raises(InvalidArgumentError):
             Dataset([[0.0, 0.0]], [3], 2)
 
+    def test_label_error_names_first_bad_row(self):
+        labels = [1, 2, 2, 1, 0, 3, 0]
+        with pytest.raises(InvalidArgumentError, match=r"^row 4 has label 0 outside 1\.\.3$"):
+            Dataset(np.zeros((7, 2)), labels, 3)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Dataset([[0.0, 0.0]], [1, 2], 2)

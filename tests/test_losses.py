@@ -78,8 +78,9 @@ class TestComputeNormalizers:
             compute_normalizers(np.empty((0, 3)), rel)
         with pytest.raises(DimensionMismatchError):
             compute_normalizers(np.ones((4, 5)), rel)
-        with pytest.raises(InvalidArgumentError):
-            SimilarityContext(np.ones((2, 2)), np.ones((2, 2), dtype=bool), tau=0.0)
+        for tau in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidArgumentError):
+                SimilarityContext(np.ones((2, 2)), np.ones((2, 2), dtype=bool), tau=tau)
 
 
 class TestCrossEntropy:

@@ -55,6 +55,14 @@ class TestClientPrototypes:
         assert np.allclose(s.vectors[1], [1.0, 1.0])
         assert s.present.tolist() == [True, True, False]
 
+    def test_absent_rows_zeroed_without_touching_input(self):
+        vectors = np.full((3, 2), np.nan)
+        vectors[1] = [1.0, 2.0]
+        s = PrototypeSet(vectors, [False, True, False], owner=2)
+        assert s.vectors.tolist() == [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]
+        assert np.isnan(vectors[[0, 2]]).all()
+        assert vectors[1].tolist() == [1.0, 2.0]
+
 
 class TestGlobalPrototypes:
     def test_average_over_supporting_clients(self):
@@ -163,6 +171,27 @@ class TestBuildAdjacency:
         )
         adj = build_adjacency(table, neighbors=5)
         assert adj.a[0].tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 0]]
+
+    def test_tie_heavy_random_tables_match_sorted_reference(self):
+        # integer-valued phi with 2-3 distinct values ties almost every gap;
+        # the reference ranks the other valid clients by (gap, client index)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            num_classes, num_clients = rng.integers(1, 4), rng.integers(1, 9)
+            phi = rng.integers(0, rng.integers(2, 4), size=(num_classes, num_clients))
+            valid = rng.random((num_classes, num_clients)) < 0.7
+            table = AngularTable(phi.astype(np.float64), valid)
+            for neighbors in range(num_clients + 1):
+                expected = np.zeros((num_classes, num_clients, num_clients), np.uint8)
+                for j in range(num_classes):
+                    idx = np.flatnonzero(valid[j])
+                    for k in idx:
+                        others = sorted((abs(phi[j, q] - phi[j, k]), q)
+                                        for q in idx if q != k)
+                        chosen = [q for _, q in others[:neighbors]] + [k]
+                        expected[j, k, chosen] = 1
+                adj = build_adjacency(table, neighbors)
+                assert np.array_equal(adj.a, expected), (phi, valid, neighbors)
 
     def test_invalid_rows_stay_zero(self):
         table = AngularTable(np.zeros((1, 2)), np.zeros((1, 2), dtype=bool))
@@ -343,7 +372,7 @@ class TestBuildCollaboration:
         assert col.consistent.present.tolist() == [True, False]
 
     def test_absent_row_contents_are_ignored(self):
-        # PrototypeSet leaves absent rows meaningless; NaN there must not
+        # PrototypeSet zeroes absent rows, so NaN passed there must not
         # leak through the adjacency product into any prototype
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((3, 4, 2)) + 2.0
