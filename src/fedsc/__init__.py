@@ -38,7 +38,6 @@ from .losses import (
     compute_normalizers,
     cpdr_loss_and_grad,
     rpcl_loss_and_grad,
-    similarity,
     total_loss,
 )
 from .model import (

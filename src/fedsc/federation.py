@@ -168,25 +168,20 @@ def run_client(
     )
     params = global_params.copy()
     buf = np.zeros(params.flat.size)
-    use_protos = relational is not None and consistent is not None
+    if relational is None or consistent is None:
+        relational = consistent = None
     x, y = dataset.features, dataset.labels
     sums = np.zeros(4)
     batches = 0
     for _ in range(config.local_epochs):
         context = None
-        if use_protos:
+        if relational is not None:
             snapshot = forward_features(params, x).z
             context = compute_normalizers(snapshot, relational, config.temperature)
         for idx in _minibatches(dataset.total, config.optimizer.batch_size, rng):
             fb = forward_features(params, x[idx], y[idx])
-            breakdown = total_loss(
-                fb,
-                relational if use_protos else None,
-                consistent if use_protos else None,
-                context,
-                params,
-                cpdr_norm=config.cpdr_norm,
-            )
+            breakdown = total_loss(fb, relational, consistent, context, params,
+                                   cpdr_norm=config.cpdr_norm)
             grads = backward(params, fb, breakdown.grad_z, breakdown.grad_logits)
             sgd_step(params, grads, buf, config.optimizer)
             sums += (breakdown.ce, breakdown.rpcl, breakdown.cpdr, breakdown.total)
@@ -283,12 +278,14 @@ def run_experiment(
 ) -> ExperimentResult:
     """Partition a dataset, run the configured number of rounds, return metrics.
 
-    Every round is evaluated on ``test``, which must have the dataset's dim
-    and class count.  The partition's client count must match the
-    federation config.
+    Both sets must be nonempty.  Every round is evaluated on ``test``, which
+    must have the dataset's dim and class count.  The partition's client
+    count must match the federation config.
     """
     if dataset.num_samples == 0:
         raise EmptyDatasetError("cannot run on an empty dataset")
+    if test.num_samples == 0:
+        raise EmptyDatasetError("cannot evaluate on an empty test set")
     if partition.num_clients != config.num_clients:
         raise InvalidArgumentError(
             f"partition has {partition.num_clients} clients, "

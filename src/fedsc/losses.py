@@ -11,11 +11,13 @@ gradient ``2 (z - o) / d`` is Lipschitz, so the composite loss stays
 L1-smooth as the convergence bounds in ``fedsc.theory`` assume, and the pull
 fades as a feature reaches its prototype.  Averaging over the d coordinates
 keeps the term on the scale of CE and RPCL at any feature width.  The
-summed L1 distance (``"l1"``) and the Euclidean distance (``"l2"``) remain
-as ablations; both have a unit-scale gradient that jumps at the prototype.
+summed L1 distance (``"l1"``) remains as an ablation; its unit-scale
+gradient jumps at the prototype.
 
 Per-sample functions are the readable reference; ``total_loss`` runs a
-vectorized batch path that the tests pin against them.
+vectorized batch path that the tests pin against them.  The batch RPCL folds
+``1 / (u tau)`` into the prototypes, so its scores and gradient may differ
+from the reference in the last bits.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .prototypes import ConsistentSet, RelationalSet
 
 _EPS = 1e-12
 
-CPDR_NORMS = ("sq", "l1", "l2")
+CPDR_NORMS = ("sq", "l1")
 DEFAULT_CPDR_NORM = "sq"
 
 
@@ -69,18 +71,6 @@ class LossBreakdown:
     total: float
     grad_z: np.ndarray       # (n, d)
     grad_logits: np.ndarray  # (n, num_classes)
-
-
-def similarity(z: np.ndarray, r: np.ndarray, u: float) -> float:
-    """Distance-normalized cosine similarity cos(z, r) / u."""
-    z = np.asarray(z, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    zn, rn = np.linalg.norm(z), np.linalg.norm(r)
-    if zn < _EPS or rn < _EPS:
-        raise DegenerateVectorError("zero-norm vector in similarity")
-    if u <= 0:
-        raise InvalidArgumentError("normalizer u must be > 0")
-    return float(z @ r / (zn * rn * u))
 
 
 def compute_normalizers(
@@ -183,8 +173,8 @@ def cpdr_loss_and_grad(
     ``norm="sq"`` (the default) averages the squared coordinate differences
     over the d feature coordinates, with gradient ``2 (z - o) / d``: smooth,
     and vanishing at the prototype.  ``norm="l1"`` sums coordinate-wise
-    absolute differences and ``norm="l2"`` uses the Euclidean distance; both
-    are ablations whose gradients keep unit scale and jump at the prototype.
+    absolute differences, an ablation whose gradient keeps unit scale and
+    jumps at the prototype.
     """
     z = np.asarray(z, dtype=np.float64)
     j = _check_label(label, consistent.o.shape[0])
@@ -195,10 +185,6 @@ def cpdr_loss_and_grad(
         return float((diff**2).mean()), 2.0 * diff / diff.shape[0]
     if norm == "l1":
         return float(np.abs(diff).sum()), np.sign(diff)
-    if norm == "l2":
-        dist = float(np.linalg.norm(diff))
-        grad = diff / dist if dist > _EPS else np.zeros_like(diff)
-        return dist, grad
     raise InvalidArgumentError(f"unknown cpdr norm '{norm}'")
 
 
@@ -222,33 +208,28 @@ def _rpcl_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized RPCL over a batch; samples without a valid positive or
     negative contribute zero."""
-    n, d = z.shape
-    num_classes, num_clients = relational.valid.shape
-    valid = (relational.valid & context.valid).ravel()
+    valid = relational.valid & context.valid
     if not valid.any():
-        return np.zeros(n), np.zeros_like(z)
-
-    r_flat = relational.r.reshape(-1, d)[valid]
-    u_flat = context.u.ravel()[valid]
-    class_of = np.repeat(np.arange(num_classes), num_clients)[valid]
+        return np.zeros(len(z)), np.zeros_like(z)
+    r = relational.r[valid]                     # (P, d)
+    u = context.u[valid]
+    class_of = np.nonzero(valid)[0]
 
     zn = np.linalg.norm(z, axis=1)
     if (zn < _EPS).any():
         raise DegenerateVectorError("zero-norm feature vector in batch")
-    rn = np.linalg.norm(r_flat, axis=1)
+    rn = np.linalg.norm(r, axis=1)
     if (rn < _EPS).any():
         raise DegenerateVectorError("zero-norm relational prototype")
-    if (u_flat <= 0).any():
+    if (u <= 0).any():
         raise InvalidArgumentError("normalizer u must be > 0")
     z_hat = z / zn[:, None]
-    r_hat = r_flat / rn[:, None]
-    cos = z_hat @ r_hat.T                       # (n, P)
-    s = cos / u_flat[None, :] / context.tau
+    r_scaled = r / (rn * u * context.tau)[:, None]
+    s = z_hat @ r_scaled.T                      # (n, P): cos / (u tau)
 
     pos = class_of[None, :] == (labels - 1)[:, None]   # (n, P)
     pos_count = pos.sum(axis=1)
-    neg_count = pos.shape[1] - pos_count
-    active = (pos_count > 0) & (neg_count > 0)
+    active = (pos_count > 0) & (pos_count < pos.shape[1])
 
     shift = s.max(axis=1, keepdims=True)
     w = np.exp(s - shift)
@@ -256,11 +237,9 @@ def _rpcl_batch(
     s_pos = np.where(pos, w, 0.0).sum(axis=1)
     losses = np.where(active, np.log(s_all) - np.log(np.maximum(s_pos, _EPS)), 0.0)
 
-    coef = (w / s_all[:, None] - pos * (w / np.maximum(s_pos, _EPS)[:, None]))
-    coef /= context.tau
-    coef *= active[:, None]
-    coef_u = coef / u_flat[None, :]
-    grad = (coef_u @ r_hat - (coef_u * cos).sum(axis=1)[:, None] * z_hat)
+    c = w / s_all[:, None] - pos * (w / np.maximum(s_pos, _EPS)[:, None])
+    c *= active[:, None]
+    grad = c @ r_scaled - (c * s).sum(axis=1)[:, None] * z_hat
     grad /= zn[:, None]
     return losses, grad
 
@@ -278,9 +257,6 @@ def _cpdr_batch(
     elif norm == "l1":
         losses = np.abs(diff).sum(axis=1)
         grad = np.sign(diff)
-    elif norm == "l2":
-        losses = np.linalg.norm(diff, axis=1)
-        grad = diff / np.maximum(losses, _EPS)[:, None]
     else:
         raise InvalidArgumentError(f"unknown cpdr norm '{norm}'")
     return losses * active, grad * active[:, None]
@@ -321,18 +297,16 @@ def total_loss(
     logits = forward_logits(params, batch.z)
 
     ce_losses, ce_grad = _ce_batch(logits, labels)
+    ce = float(ce_losses.mean())
+    rpcl = cpdr = 0.0
+    grad_z = np.zeros_like(batch.z)
     if relational is not None and context is not None:
         rpcl_losses, rpcl_grad = _rpcl_batch(batch.z, labels, relational, context)
-    else:
-        rpcl_losses, rpcl_grad = np.zeros(n), np.zeros_like(batch.z)
+        rpcl = float(rpcl_losses.mean())
+        grad_z += rpcl_grad
     if consistent is not None:
         cpdr_losses, cpdr_grad = _cpdr_batch(batch.z, labels, consistent, cpdr_norm)
-    else:
-        cpdr_losses, cpdr_grad = np.zeros(n), np.zeros_like(batch.z)
-
-    ce = float(ce_losses.mean())
-    rpcl = float(rpcl_losses.mean())
-    cpdr = float(cpdr_losses.mean())
-    grad_z = (rpcl_grad + cpdr_grad) / n
-    grad_logits = ce_grad / n
-    return LossBreakdown(ce, rpcl, cpdr, ce + rpcl + cpdr, grad_z, grad_logits)
+        cpdr = float(cpdr_losses.mean())
+        grad_z += cpdr_grad
+    grad_z /= n
+    return LossBreakdown(ce, rpcl, cpdr, ce + rpcl + cpdr, grad_z, ce_grad / n)

@@ -15,8 +15,8 @@ from a recorded training trace.
 
 The composite loss meets the L1-smooth assumption with the default CPDR form
 (``cpdr_norm="sq"``, a mean squared distance whose gradient is Lipschitz).
-The ``"l1"`` and ``"l2"`` CPDR ablations do not: their gradients jump at the
-consistent prototype, so these bounds do not cover runs that use them.
+The ``"l1"`` CPDR ablation does not: its gradient jumps at the consistent
+prototype, so these bounds do not cover runs that use it.
 """
 
 from __future__ import annotations
@@ -180,7 +180,6 @@ class EstimatedConstants:
     sigma_sq: float
     l1: float
     l2: float
-    lower_bounds: bool = True
 
 
 def estimate_constants(trace: TrainingTrace) -> EstimatedConstants:

@@ -115,6 +115,15 @@ class TestRun:
             assert capsys.readouterr().err.startswith("fedsc: dimension-mismatch:")
             assert not (tmp_path / "metrics_fedsc.csv").exists()
 
+    def test_empty_test_set_is_runtime_error(self, tmp_path, capsys):
+        tiny_generate(tmp_path)
+        test = load_dataset(tmp_path / "test.fsd")
+        save_dataset(tmp_path / "test.fsd", test.subset(np.arange(0)))
+        capsys.readouterr()
+        assert tiny_run(tmp_path) == 3
+        assert capsys.readouterr().err.startswith("fedsc: empty-dataset:")
+        assert not (tmp_path / "metrics_fedsc.csv").exists()
+
     def test_single_round_single_row(self, tmp_path):
         tiny_generate(tmp_path)
         assert tiny_run(tmp_path, ("--rounds", "1")) == 0
@@ -294,6 +303,7 @@ class TestConfigLayering:
         tiny_generate(tmp_path)
         assert tiny_run(tmp_path, ("--alpha", "0.0")) == 2
         assert tiny_run(tmp_path, ("--algorithm", "sgd")) == 2
+        assert tiny_run(tmp_path, ("--cpdr-norm", "l2")) == 2
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[federation]\nrounds = soon\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedsc.data import (
+    Dataset,
     PartitionConfig,
     generate_gaussian_blobs,
     partition_dataset,
@@ -11,6 +12,7 @@ from fedsc.data import (
 )
 from fedsc.errors import (
     DimensionMismatchError,
+    EmptyDatasetError,
     InvalidArgumentError,
     MalformedCsvError,
 )
@@ -82,6 +84,7 @@ class TestFederationConfig:
             dict(temperature=float("inf")),
             dict(algorithm="fedprox"),
             dict(cpdr_norm="linf"),
+            dict(cpdr_norm="l2"),
             dict(threads=0),
             dict(seed=-1),
             dict(hidden_dim=0),
@@ -274,6 +277,15 @@ class TestRunExperiment:
             message = str(info.value)
             assert f"dim={other.dim}, num_classes={other.num_classes}" in message
             assert "dim=4, num_classes=3" in message
+
+    def test_empty_train_or_test_set_rejected(self):
+        train, test = split_holdout(small_dataset(), seed=3)
+        empty = Dataset(np.empty((0, train.dim)), np.empty(0), train.num_classes)
+        for data, held_out, what in ((empty, test, "empty dataset"),
+                                     (train, empty, "empty test set")):
+            with pytest.raises(EmptyDatasetError, match=what):
+                run_experiment(small_config(), data, small_partition(),
+                               test=held_out)
 
     def test_client_count_mismatch_rejected(self):
         train, test = split_holdout(small_dataset(), seed=3)

@@ -22,7 +22,6 @@ from fedsc.losses import (
     compute_normalizers,
     cpdr_loss_and_grad,
     rpcl_loss_and_grad,
-    similarity,
     total_loss,
 )
 from fedsc.model import forward_features, forward_logits, init_params
@@ -39,21 +38,6 @@ def random_relational(rng, num_classes, num_clients, d, all_valid=True):
         valid[0, 0] = True
         valid[-1, -1] = True
     return RelationalSet(r, valid)
-
-
-class TestSimilarity:
-    def test_hand_value(self):
-        z = np.array([1.0, 0.0])
-        r = np.array([1.0, 1.0])
-        u = 2.0
-        expected = (1.0 / math.sqrt(2.0)) / 2.0
-        assert similarity(z, r, u) == pytest.approx(expected, abs=1e-12)
-
-    def test_degenerate_and_bad_u(self):
-        with pytest.raises(DegenerateVectorError):
-            similarity(np.zeros(2), np.ones(2), 1.0)
-        with pytest.raises(InvalidArgumentError):
-            similarity(np.ones(2), np.ones(2), 0.0)
 
 
 class TestComputeNormalizers:
@@ -137,19 +121,6 @@ class TestCpdr:
     def test_sq_zero_distance_has_zero_loss_and_gradient(self):
         consistent = ConsistentSet(np.array([[1.0, 2.0]]), np.array([True]))
         loss, grad = cpdr_loss_and_grad(np.array([1.0, 2.0]), 1, consistent, "sq")
-        assert loss == 0.0
-        assert np.array_equal(grad, [0.0, 0.0])
-
-    def test_l2_value_and_unit_gradient(self):
-        consistent = ConsistentSet(np.array([[0.0, 0.0]]), np.array([True]))
-        z = np.array([3.0, 4.0])
-        loss, grad = cpdr_loss_and_grad(z, 1, consistent, norm="l2")
-        assert loss == pytest.approx(5.0, abs=1e-12)
-        assert np.allclose(grad, [0.6, 0.8], atol=1e-12)
-
-    def test_l2_zero_distance_has_zero_gradient(self):
-        consistent = ConsistentSet(np.array([[1.0, 2.0]]), np.array([True]))
-        loss, grad = cpdr_loss_and_grad(np.array([1.0, 2.0]), 1, consistent, "l2")
         assert loss == 0.0
         assert np.array_equal(grad, [0.0, 0.0])
 

@@ -257,7 +257,6 @@ class TestEstimateConstants:
         assert est.sigma_sq == 0.0
         assert est.l1 == 0.0
         assert est.b == 1.0
-        assert est.lower_bounds
 
     def test_quadratic_loss_recovers_curvature(self):
         # gradient of 0.5 * a ||w||^2 is a w, so every snapshot pair reports a
