@@ -57,20 +57,20 @@ def main():
     print(f"client {skew_client + 1} holds mostly class 1\n")
 
     print("global prototypes (per-class mean over reporting clients)")
-    print(collab.global_prototypes.vectors)
+    print(collab.global_prototypes)
 
     print("\nangular table phi[class, client] = cos(global, client prototype)")
-    print(collab.angular.phi)
+    print(collab.phi)
 
     print("\nadjacency for class 1 (row = client, self plus closest M)")
-    print(collab.adjacency.a[0])
+    print(collab.adjacency[0])
 
     print("\nper-client sample totals and label-skew discrepancies")
     totals = counts.sum(axis=1)
     for k in range(args.num_clients):
         print(f"  client {k + 1}: n={totals[k]:<4d} "
-              f"d={collab.weights.discrepancies[k]:.3f} "
-              f"e={collab.weights.weights[k]:.3f}")
+              f"d={collab.discrepancies[k]:.3f} "
+              f"e={collab.weights[k]:.3f}")
     print("(larger, better-balanced clients earn larger weights e)")
 
     print("\nrelational prototypes for class 1 (one row per client)")
@@ -79,8 +79,7 @@ def main():
     print("\nconsistent prototypes (weighted blend, one row per class)")
     print(collab.consistent.o)
 
-    drift = np.linalg.norm(collab.consistent.o
-                           - collab.global_prototypes.vectors, axis=1)
+    drift = np.linalg.norm(collab.consistent.o - collab.global_prototypes, axis=1)
     print("\n|consistent - global| per class:", np.round(drift, 3))
     print("the gap comes from neighbor averaging plus discrepancy weighting")
 

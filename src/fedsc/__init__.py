@@ -52,12 +52,8 @@ from .model import (
     sgd_step,
 )
 from .prototypes import (
-    AdjacencyTensor,
-    AngularTable,
     Collaboration,
     ConsistentSet,
-    DiscrepancyWeights,
-    GlobalPrototypes,
     PrototypeSet,
     RelationalSet,
     aggregation_weights,

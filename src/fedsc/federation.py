@@ -228,7 +228,8 @@ def run_round(
     Clients run independently (on a thread pool when ``config.threads`` > 1);
     updates are merged in the order of ``clients`` and the prototype rebuild
     walks clients in ascending id order, so results do not depend on
-    scheduling.
+    scheduling.  An empty ``test`` raises ``EmptyDatasetError`` when the
+    round is evaluated, after training.
     """
     start = time.perf_counter()
     state.round_index += 1

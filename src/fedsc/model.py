@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EmptyDatasetError,
     InvalidArgumentError,
     NonfiniteGradientError,
     ShapeMismatchError,
@@ -219,7 +220,12 @@ def sgd_step(params: ModelParams, grads: ModelParams, buf: np.ndarray,
 
 def evaluate_accuracy(params: ModelParams, features: np.ndarray,
                       labels: np.ndarray) -> float:
-    """Fraction of samples whose argmax logit matches the 1-based label."""
+    """Fraction of samples whose argmax logit matches the 1-based label.
+
+    Zero samples raise ``EmptyDatasetError``: their accuracy is undefined.
+    """
+    if len(features) == 0:
+        raise EmptyDatasetError("cannot evaluate on zero samples")
     z = forward_features(params, features).z
     pred = np.argmax(forward_logits(params, z), axis=1) + 1
     return float(np.mean(pred == np.asarray(labels)))

@@ -7,8 +7,12 @@ consistent prototypes:
     -> relational prototypes -> discrepancy-aware weights -> consistent
     prototypes
 
-Class axes are 0-based (row j holds label j + 1); client axes follow the
-1-based client ids in ascending order.
+``build_collaboration`` stacks the K reports once, into (K, C, d) vectors
+and a (K, C) presence mask, and each stage takes and returns plain arrays;
+only the relational and consistent prototypes, which the clients' losses
+read, keep their ``RelationalSet`` and ``ConsistentSet`` masks.  Class axes
+are 0-based (row j holds label j + 1); client axes follow the 1-based client
+ids in ascending order.
 """
 
 from __future__ import annotations
@@ -49,41 +53,11 @@ class PrototypeSet:
 
 
 @dataclass
-class GlobalPrototypes:
-    """Average of client prototypes over the clients that hold each class."""
-
-    vectors: np.ndarray  # (num_classes, d)
-
-
-@dataclass
-class AngularTable:
-    """Cosine of each client prototype against the global one, per class."""
-
-    phi: np.ndarray    # (num_classes, num_clients)
-    valid: np.ndarray  # (num_classes, num_clients) bool
-
-
-@dataclass
-class AdjacencyTensor:
-    """Per class, each client's self-plus-top-M angular neighbourhood."""
-
-    a: np.ndarray  # (num_classes, num_clients, num_clients) uint8
-
-
-@dataclass
 class RelationalSet:
     """Neighbourhood-averaged prototypes r[j, k]."""
 
     r: np.ndarray      # (num_classes, num_clients, d)
     valid: np.ndarray  # (num_classes, num_clients) bool
-
-
-@dataclass
-class DiscrepancyWeights:
-    """Sigmoid weights favouring large, label-balanced clients."""
-
-    discrepancies: np.ndarray  # (num_clients,)
-    weights: np.ndarray        # (num_clients,) nonnegative, sums to 1
 
 
 @dataclass
@@ -98,11 +72,12 @@ class ConsistentSet:
 class Collaboration:
     """Everything the server derives from one batch of prototype sets."""
 
-    global_prototypes: GlobalPrototypes
-    angular: AngularTable
-    adjacency: AdjacencyTensor
+    global_prototypes: np.ndarray  # (num_classes, d)
+    phi: np.ndarray                # (num_classes, num_clients)
+    adjacency: np.ndarray          # (num_classes, num_clients, num_clients) uint8
     relational: RelationalSet
-    weights: DiscrepancyWeights
+    discrepancies: np.ndarray      # (num_clients,)
+    weights: np.ndarray            # (num_clients,) nonnegative, sums to 1
     consistent: ConsistentSet
 
 
@@ -126,90 +101,83 @@ def prototypes_from_features(
     return PrototypeSet(vectors, present, owner)
 
 
-def compute_global_prototypes(sets: list[PrototypeSet]) -> GlobalPrototypes:
+def compute_global_prototypes(vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
     """Average client prototypes per class over the clients that hold it.
 
+    ``vectors`` is (K, C, d) and ``present`` (K, C); the result is (C, d).
     A class no client holds gets a zero row.
     """
-    if not sets:
-        raise InvalidArgumentError("need at least one prototype set")
-    vectors = np.stack([s.vectors for s in sets])   # (K, C, d)
-    present = np.stack([s.present for s in sets])   # (K, C)
     support = present.sum(axis=0)
     denom = np.maximum(support, 1)[:, None]
-    return GlobalPrototypes(vectors.sum(axis=0) / denom)
+    return vectors.sum(axis=0) / denom
 
 
 def angular_differences(
-    global_prototypes: GlobalPrototypes, sets: list[PrototypeSet]
-) -> AngularTable:
+    g: np.ndarray, vectors: np.ndarray, present: np.ndarray, owners: list[int]
+) -> np.ndarray:
     """Cosine similarity phi[j, k] between g_j and client k's prototype.
 
-    Entries are valid where the client holds the class.  A zero-norm
-    prototype on a valid entry is degenerate; the error names the first such
-    entry in client-major order.
+    Returns (C, K), zero where the client lacks the class.  A zero-norm
+    prototype on a present entry is degenerate; the error names the first
+    such entry in client-major order, with client k as ``owners[k]`` (or
+    k + 1 when that is 0).
     """
-    g = global_prototypes.vectors                       # (C, d)
-    vectors = np.stack([s.vectors for s in sets])       # (K, C, d)
-    valid = np.stack([s.present for s in sets])         # (K, C)
     g_norm = np.linalg.norm(g, axis=1)
     c_norm = np.linalg.norm(vectors, axis=2)
-    degenerate = valid & ((g_norm < _EPS) | (c_norm < _EPS))
+    degenerate = present & ((g_norm < _EPS) | (c_norm < _EPS))
     if degenerate.any():
         k, j = np.argwhere(degenerate)[0]
         raise DegeneratePrototypeError(
-            f"zero-norm prototype for class {j + 1}, client {sets[k].owner or k + 1}"
+            f"zero-norm prototype for class {j + 1}, client {owners[k] or k + 1}"
         )
     dots = np.einsum("jd,kjd->kj", g, vectors)
-    phi = np.divide(dots, g_norm * c_norm, out=np.zeros_like(dots), where=valid)
-    return AngularTable(phi.T, valid.T)
+    phi = np.divide(dots, g_norm * c_norm, out=np.zeros_like(dots), where=present)
+    return phi.T
 
 
-def build_adjacency(table: AngularTable, neighbors: int) -> AdjacencyTensor:
+def build_adjacency(phi: np.ndarray, valid: np.ndarray, neighbors: int) -> np.ndarray:
     """Self plus the M clients with closest angular difference, per class.
 
-    Neighbour candidates are the other clients valid for the class.  Each of
-    the min(M, n_valid - 1) passes takes every client's nearest remaining
-    candidate by ``argmin``, whose first minimum makes ties on the absolute
-    angular difference go to the lower client index.  Rows for clients that
-    lack the class stay all-zero.
+    ``phi`` and ``valid`` are (C, K); the result is the (C, K, K) uint8
+    adjacency.  Neighbour candidates are the other clients valid for the
+    class.  Each of the min(M, n_valid - 1) passes takes every client's
+    nearest remaining candidate by ``argmin``, whose first minimum makes ties
+    on the absolute angular difference go to the lower client index.  Rows
+    for clients that lack the class stay all-zero.
     """
     if neighbors < 0:
         raise InvalidArgumentError("neighbors must be >= 0")
-    num_classes, num_clients = table.phi.shape
+    num_classes, num_clients = phi.shape
     a = np.zeros((num_classes, num_clients, num_clients), dtype=np.uint8)
     for j in range(num_classes):
-        idx = np.flatnonzero(table.valid[j])
-        phi = table.phi[j, idx]
-        diffs = np.abs(phi[None, :] - phi[:, None])  # row k: |phi_q - phi_k|
-        np.fill_diagonal(diffs, np.inf)              # never its own neighbour
+        idx = np.flatnonzero(valid[j])
+        phi_j = phi[j, idx]
+        diffs = np.abs(phi_j[None, :] - phi_j[:, None])  # row k: |phi_q - phi_k|
+        np.fill_diagonal(diffs, np.inf)                  # never its own neighbour
         rows = np.arange(idx.size)
         for _ in range(min(neighbors, idx.size - 1)):
             nbr = diffs.argmin(axis=1)
             a[j, idx, idx[nbr]] = 1
             diffs[rows, nbr] = np.inf
         a[j, idx, idx] = 1
-    return AdjacencyTensor(a)
+    return a
 
 
-def relational_prototypes(
-    adjacency: AdjacencyTensor, sets: list[PrototypeSet]
-) -> RelationalSet:
+def relational_prototypes(adjacency: np.ndarray, vectors: np.ndarray) -> RelationalSet:
     """Average each client's selected neighbourhood of class prototypes.
 
     r[j, k] = sum_q a[j, k, q] v[q, j] / sum_q a[j, k, q], one product per
     class so the scratch stays O(K^2); rows with no neighbour stay zero.
     """
-    num_classes, num_clients, _ = adjacency.a.shape
-    if len(sets) != num_clients:
+    num_classes, num_clients, _ = adjacency.shape
+    if vectors.shape[0] != num_clients:
         raise DimensionMismatchError(
-            f"adjacency covers {num_clients} clients, got {len(sets)} sets"
+            f"adjacency covers {num_clients} clients, vectors {vectors.shape[0]}"
         )
-    vectors = np.stack([s.vectors for s in sets])     # (K, C, d)
-    count = adjacency.a.sum(axis=2)                   # (C, K)
+    count = adjacency.sum(axis=2)                     # (C, K)
     r = np.empty((num_classes, num_clients, vectors.shape[2]))
     for j in range(num_classes):
-        r[j] = adjacency.a[j] @ vectors[:, j] / np.maximum(count[j], 1)[:, None]
+        r[j] = adjacency[j] @ vectors[:, j] / np.maximum(count[j], 1)[:, None]
     return RelationalSet(r, count > 0)
 
 
@@ -231,7 +199,7 @@ def client_discrepancy(class_counts: np.ndarray) -> float | np.ndarray:
 
 def aggregation_weights(
     sample_counts: np.ndarray, discrepancies: np.ndarray
-) -> DiscrepancyWeights:
+) -> np.ndarray:
     """Normalized sigmoid weights e_k from sizes and label-skew discrepancies.
 
     e_k = sigmoid(a n_k - b d_k) / sum_i sigmoid(a n_i - b d_i) with
@@ -249,12 +217,10 @@ def aggregation_weights(
     d_total = d.sum()
     b = 0.0 if d_total == 0 else 1.0 / d_total
     raw = 1.0 / (1.0 + np.exp(-(a * n - b * d)))
-    return DiscrepancyWeights(d, raw / raw.sum())
+    return raw / raw.sum()
 
 
-def consistent_prototypes(
-    relational: RelationalSet, weights: DiscrepancyWeights
-) -> ConsistentSet:
+def consistent_prototypes(relational: RelationalSet, weights: np.ndarray) -> ConsistentSet:
     """Weighted average of relational prototypes across clients, per class.
 
     Clients lacking a class get zero weight and the remaining weights are
@@ -262,9 +228,9 @@ def consistent_prototypes(
     and a False mask entry.
     """
     num_classes, num_clients, d = relational.r.shape
-    if weights.weights.shape != (num_clients,):
+    if weights.shape != (num_clients,):
         raise DimensionMismatchError("weights do not match the client axis")
-    w = np.where(relational.valid, weights.weights, 0.0)   # (C, K)
+    w = np.where(relational.valid, weights, 0.0)   # (C, K)
     w_total = w.sum(axis=1)
     present = w_total > 0
     w = np.divide(w, w_total[:, None], out=np.zeros_like(w), where=present[:, None])
@@ -276,19 +242,37 @@ def build_collaboration(
 ) -> Collaboration:
     """Run the full server-side pipeline for one batch of client reports.
 
+    The one place that stacks the reports: every stage reads the (K, C, d)
+    vectors and (K, C) presence built here.
+
     Args:
-        sets: prototype sets in ascending client-id order.
+        sets: prototype sets in ascending client-id order, all (C, d).
         class_counts: (num_clients, num_classes) per-client label histograms.
         neighbors: adjacency size M.
     """
+    if not sets:
+        raise InvalidArgumentError("need at least one prototype set")
+    shape = sets[0].vectors.shape
+    for k, s in enumerate(sets):
+        if s.vectors.shape != shape:
+            raise DimensionMismatchError(
+                f"client {s.owner or k + 1} prototypes are {s.vectors.shape}, "
+                f"the first set's are {shape}"
+            )
     counts = np.asarray(class_counts)
-    if counts.ndim != 2 or counts.shape[0] != len(sets):
-        raise DimensionMismatchError("class_counts must be (num_clients, num_classes)")
-    global_prototypes = compute_global_prototypes(sets)
-    angular = angular_differences(global_prototypes, sets)
-    adjacency = build_adjacency(angular, neighbors)
-    relational = relational_prototypes(adjacency, sets)
-    weights = aggregation_weights(counts.sum(axis=1), client_discrepancy(counts))
+    if counts.shape != (len(sets), shape[0]):
+        raise DimensionMismatchError(
+            f"class_counts is {counts.shape}, expected (num_clients, num_classes) "
+            f"= {(len(sets), shape[0])}"
+        )
+    vectors = np.stack([s.vectors for s in sets])   # (K, C, d)
+    present = np.stack([s.present for s in sets])   # (K, C)
+    g = compute_global_prototypes(vectors, present)
+    phi = angular_differences(g, vectors, present, [s.owner for s in sets])
+    adjacency = build_adjacency(phi, present.T, neighbors)
+    relational = relational_prototypes(adjacency, vectors)
+    discrepancies = client_discrepancy(counts)
+    weights = aggregation_weights(counts.sum(axis=1), discrepancies)
     consistent = consistent_prototypes(relational, weights)
-    return Collaboration(global_prototypes, angular, adjacency, relational,
-                         weights, consistent)
+    return Collaboration(g, phi, adjacency, relational, discrepancies, weights,
+                         consistent)

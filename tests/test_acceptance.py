@@ -319,14 +319,14 @@ def test_criterion_5_pipeline_matches_straight_line_reference():
             vectors, counts, neighbors
         )
 
-        assert np.array_equal(collab.adjacency.a, adjacency)
+        assert np.array_equal(collab.adjacency, adjacency)
         worst = max(
             worst,
-            np.abs(collab.global_prototypes.vectors - g).max(),
-            np.abs(collab.angular.phi - phi).max(),
+            np.abs(collab.global_prototypes - g).max(),
+            np.abs(collab.phi - phi).max(),
             np.abs(collab.relational.r - r).max(),
-            np.abs(collab.weights.discrepancies - disc).max(),
-            np.abs(collab.weights.weights - e).max(),
+            np.abs(collab.discrepancies - disc).max(),
+            np.abs(collab.weights - e).max(),
             np.abs(collab.consistent.o - o).max(),
         )
     report(5, worst <= 1e-6,
@@ -343,7 +343,7 @@ def test_criterion_6_closed_form_spot_values():
     d10 = client_discrepancy(np.array([9] + [0] * 9))
     checks.append(("one-hot |C|=10 discrepancy", d10, math.sqrt(9.0 / 20.0)))
 
-    weights = aggregation_weights(np.full(4, 25.0), np.full(4, 0.3)).weights
+    weights = aggregation_weights(np.full(4, 25.0), np.full(4, 0.3))
     checks.append(("symmetric client weight", float(weights.max()), 0.25))
     checks.append(("symmetric client weight", float(weights.min()), 0.25))
 

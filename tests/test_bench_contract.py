@@ -42,6 +42,15 @@ def test_loss_probe_reads_a_fedavg_state(bench):
     assert split["prototypes.relational_valid"] > 0
 
 
+def test_scaling_probe_builds_from_its_own_reports(bench, monkeypatch):
+    # the probe calls build_collaboration directly with (K, C) counts
+    probes, _, _ = bench
+    monkeypatch.setattr(probes, "SCALE_SIZES", ((3, 2),))
+    timings = probes.collaboration_scaling(seed=1)
+    assert list(timings) == ["prototypes.scale.K3_C2_ms"]
+    assert timings["prototypes.scale.K3_C2_ms"] > 0
+
+
 def test_traced_runs_see_what_each_algorithm_exchanges(bench, tmp_path):
     _, tracing, workloads = bench
     metrics = {}

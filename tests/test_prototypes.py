@@ -12,8 +12,6 @@ from fedsc.errors import (
     InvalidArgumentError,
 )
 from fedsc.prototypes import (
-    AngularTable,
-    DiscrepancyWeights,
     PrototypeSet,
     RelationalSet,
     aggregation_weights,
@@ -33,6 +31,18 @@ def proto(vectors, present=None, owner=0):
     if present is None:
         present = np.ones(vectors.shape[0], dtype=bool)
     return PrototypeSet(vectors, present, owner)
+
+
+def stacked(sets):
+    """(K, C, d) vectors and (K, C) presence, as build_collaboration stacks them."""
+    return np.stack([s.vectors for s in sets]), np.stack([s.present for s in sets])
+
+
+def phi_of(sets):
+    """Global prototypes and angular differences of a list of sets."""
+    vectors, present = stacked(sets)
+    g = compute_global_prototypes(vectors, present)
+    return g, angular_differences(g, vectors, present, [s.owner for s in sets])
 
 
 class TestClientPrototypes:
@@ -70,45 +80,38 @@ class TestGlobalPrototypes:
             proto([[1.0, 0.0], [0.0, 2.0]]),
             proto([[3.0, 0.0], [0.0, 0.0]], present=[True, False]),
         ]
-        g = compute_global_prototypes(sets)
-        assert np.allclose(g.vectors[0], [2.0, 0.0])
-        assert np.allclose(g.vectors[1], [0.0, 2.0])
+        g = compute_global_prototypes(*stacked(sets))
+        assert np.allclose(g[0], [2.0, 0.0])
+        assert np.allclose(g[1], [0.0, 2.0])
 
     def test_missing_class_gets_zero_row(self):
         sets = [proto([[1.0, 0.0], [5.0, 5.0]], present=[True, False])]
-        g = compute_global_prototypes(sets)
-        assert np.allclose(g.vectors[1], 0.0)
-
-    def test_needs_at_least_one_set(self):
-        with pytest.raises(InvalidArgumentError):
-            compute_global_prototypes([])
+        g = compute_global_prototypes(*stacked(sets))
+        assert np.allclose(g[1], 0.0)
 
 
 class TestAngularDifferences:
     def test_cosine_values(self):
         sets = [proto([[1.0, 0.0]]), proto([[0.0, 1.0]])]
-        g = compute_global_prototypes(sets)  # [0.5, 0.5]
-        table = angular_differences(g, sets)
+        g, phi = phi_of(sets)  # g = [0.5, 0.5]
         expected = 0.5 / (math.sqrt(0.5) * 1.0)
-        assert table.phi[0, 0] == pytest.approx(expected)
-        assert table.phi[0, 1] == pytest.approx(expected)
-        assert table.valid.all()
+        assert phi.shape == (1, 2)  # (class, client)
+        assert phi[0, 0] == pytest.approx(expected)
+        assert phi[0, 1] == pytest.approx(expected)
 
     def test_absent_entries_invalid(self):
         sets = [
             proto([[1.0, 0.0], [0.0, 1.0]]),
             proto([[1.0, 1.0], [0.0, 0.0]], present=[True, False]),
         ]
-        g = compute_global_prototypes(sets)
-        table = angular_differences(g, sets)
-        assert table.valid.tolist() == [[True, True], [True, False]]
-        assert table.phi[1, 1] == 0.0
+        _, phi = phi_of(sets)
+        assert stacked(sets)[1].T.tolist() == [[True, True], [True, False]]
+        assert phi[1, 1] == 0.0
 
     def test_degenerate_prototype_raises(self):
         sets = [proto([[0.0, 0.0]]), proto([[1.0, 0.0]])]
-        g = compute_global_prototypes(sets)
         with pytest.raises(DegeneratePrototypeError):
-            angular_differences(g, sets)
+            phi_of(sets)
 
     def test_degenerate_error_names_first_pair_client_major(self):
         # client 5 holds a zero class-3 prototype, client 7 a zero class-1
@@ -117,39 +120,34 @@ class TestAngularDifferences:
         sets = [proto(ok, owner=3),
                 proto([ok[0], ok[1], [0.0, 0.0]], owner=5),
                 proto([[0.0, 0.0], ok[1], ok[2]], owner=7)]
-        g = compute_global_prototypes(sets)
         with pytest.raises(DegeneratePrototypeError,
                            match=r"^zero-norm prototype for class 3, client 5$"):
-            angular_differences(g, sets)
+            phi_of(sets)
         # an absent class is never degenerate
         sets[1] = proto([ok[0], ok[1], [0.0, 0.0]], owner=5,
                         present=[True, True, False])
         with pytest.raises(DegeneratePrototypeError,
                            match=r"^zero-norm prototype for class 1, client 7$"):
-            angular_differences(compute_global_prototypes(sets), sets)
+            phi_of(sets)
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(0)
         sets = [proto(rng.standard_normal((4, 6))) for _ in range(5)]
-        table = angular_differences(compute_global_prototypes(sets), sets)
-        assert (np.abs(table.phi) <= 1.0 + 1e-12).all()
+        _, phi = phi_of(sets)
+        assert (np.abs(phi) <= 1.0 + 1e-12).all()
 
 
 class TestBuildAdjacency:
     def test_self_always_selected(self):
-        table = AngularTable(
-            np.array([[0.9, 0.5, 0.1]]), np.ones((1, 3), dtype=bool)
-        )
-        adj = build_adjacency(table, neighbors=0)
-        assert np.array_equal(adj.a[0], np.eye(3, dtype=np.uint8))
+        adj = build_adjacency(np.array([[0.9, 0.5, 0.1]]),
+                              np.ones((1, 3), dtype=bool), neighbors=0)
+        assert np.array_equal(adj[0], np.eye(3, dtype=np.uint8))
 
     def test_top_one_neighbourhood(self):
-        table = AngularTable(
-            np.array([[0.9, 0.8, 0.6, 0.1]]), np.ones((1, 4), dtype=bool)
-        )
-        adj = build_adjacency(table, neighbors=1)
+        adj = build_adjacency(np.array([[0.9, 0.8, 0.6, 0.1]]),
+                              np.ones((1, 4), dtype=bool), neighbors=1)
         # nearest by |phi difference|: 0<->1, 2->1, 3->2
-        assert adj.a[0].tolist() == [
+        assert adj[0].tolist() == [
             [1, 1, 0, 0],
             [1, 1, 0, 0],
             [0, 1, 1, 0],
@@ -158,19 +156,14 @@ class TestBuildAdjacency:
 
     def test_tie_goes_to_lower_client_index(self):
         # clients 1 and 2 are both 0.1 away from client 0
-        table = AngularTable(
-            np.array([[0.5, 0.4, 0.6, 0.9]]), np.ones((1, 4), dtype=bool)
-        )
-        adj = build_adjacency(table, neighbors=1)
-        assert adj.a[0, 0].tolist() == [1, 1, 0, 0]
+        adj = build_adjacency(np.array([[0.5, 0.4, 0.6, 0.9]]),
+                              np.ones((1, 4), dtype=bool), neighbors=1)
+        assert adj[0, 0].tolist() == [1, 1, 0, 0]
 
     def test_neighbors_capped_by_validity(self):
-        table = AngularTable(
-            np.array([[0.9, 0.5, 0.0]]),
-            np.array([[True, True, False]]),
-        )
-        adj = build_adjacency(table, neighbors=5)
-        assert adj.a[0].tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 0]]
+        adj = build_adjacency(np.array([[0.9, 0.5, 0.0]]),
+                              np.array([[True, True, False]]), neighbors=5)
+        assert adj[0].tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 0]]
 
     def test_tie_heavy_random_tables_match_sorted_reference(self):
         # integer-valued phi with 2-3 distinct values ties almost every gap;
@@ -180,7 +173,6 @@ class TestBuildAdjacency:
             num_classes, num_clients = rng.integers(1, 4), rng.integers(1, 9)
             phi = rng.integers(0, rng.integers(2, 4), size=(num_classes, num_clients))
             valid = rng.random((num_classes, num_clients)) < 0.7
-            table = AngularTable(phi.astype(np.float64), valid)
             for neighbors in range(num_clients + 1):
                 expected = np.zeros((num_classes, num_clients, num_clients), np.uint8)
                 for j in range(num_classes):
@@ -190,28 +182,26 @@ class TestBuildAdjacency:
                                         for q in idx if q != k)
                         chosen = [q for _, q in others[:neighbors]] + [k]
                         expected[j, k, chosen] = 1
-                adj = build_adjacency(table, neighbors)
-                assert np.array_equal(adj.a, expected), (phi, valid, neighbors)
+                adj = build_adjacency(phi.astype(np.float64), valid, neighbors)
+                assert np.array_equal(adj, expected), (phi, valid, neighbors)
 
     def test_invalid_rows_stay_zero(self):
-        table = AngularTable(np.zeros((1, 2)), np.zeros((1, 2), dtype=bool))
-        adj = build_adjacency(table, neighbors=1)
-        assert (adj.a == 0).all()
+        adj = build_adjacency(np.zeros((1, 2)), np.zeros((1, 2), dtype=bool),
+                              neighbors=1)
+        assert (adj == 0).all()
 
     def test_validation(self):
-        table = AngularTable(np.zeros((1, 2)), np.ones((1, 2), dtype=bool))
         with pytest.raises(InvalidArgumentError):
-            build_adjacency(table, neighbors=-1)
+            build_adjacency(np.zeros((1, 2)), np.ones((1, 2), dtype=bool),
+                            neighbors=-1)
 
 
 class TestRelationalPrototypes:
     def test_neighbourhood_means(self):
         sets = [proto([[0.0, 0.0]]), proto([[2.0, 2.0]]), proto([[4.0, 0.0]])]
-        table = AngularTable(
-            np.array([[0.9, 0.8, 0.1]]), np.ones((1, 3), dtype=bool)
-        )
-        adj = build_adjacency(table, neighbors=1)
-        rel = relational_prototypes(adj, sets)
+        adj = build_adjacency(np.array([[0.9, 0.8, 0.1]]),
+                              np.ones((1, 3), dtype=bool), neighbors=1)
+        rel = relational_prototypes(adj, stacked(sets)[0])
         # client 0 averages itself with client 1; client 2 with client 1
         assert np.allclose(rel.r[0, 0], [1.0, 1.0])
         assert np.allclose(rel.r[0, 1], [1.0, 1.0])
@@ -223,19 +213,18 @@ class TestRelationalPrototypes:
             proto([[1.0, 0.0], [0.0, 0.0]], present=[True, False]),
             proto([[1.0, 1.0], [2.0, 0.0]]),
         ]
-        table = angular_differences(
-            compute_global_prototypes(sets), sets
-        )
-        rel = relational_prototypes(build_adjacency(table, 1), sets)
+        vectors, present = stacked(sets)
+        _, phi = phi_of(sets)
+        rel = relational_prototypes(build_adjacency(phi, present.T, 1), vectors)
         assert rel.valid.tolist() == [[True, True], [False, True]]
         assert np.allclose(rel.r[1, 0], 0.0)
         assert np.allclose(rel.r[1, 1], [2.0, 0.0])
 
     def test_client_count_must_match(self):
         sets = [proto([[1.0, 0.0]])]
-        table = AngularTable(np.zeros((1, 2)), np.ones((1, 2), dtype=bool))
+        adj = build_adjacency(np.zeros((1, 2)), np.ones((1, 2), dtype=bool), 1)
         with pytest.raises(DimensionMismatchError):
-            relational_prototypes(build_adjacency(table, 1), sets)
+            relational_prototypes(adj, stacked(sets)[0])
 
 
 class TestClientDiscrepancy:
@@ -268,28 +257,28 @@ class TestAggregationWeights:
     def test_hand_case(self):
         w = aggregation_weights(np.array([900.0, 100.0]), np.array([0.1, 0.5]))
         # sigmoid(n_k / N - d_k / D), normalized
-        assert w.weights[0] == pytest.approx(0.675536322989, abs=1e-9)
-        assert w.weights[1] == pytest.approx(0.324463677011, abs=1e-9)
+        assert w[0] == pytest.approx(0.675536322989, abs=1e-9)
+        assert w[1] == pytest.approx(0.324463677011, abs=1e-9)
         # closed form with a = 1 / sum(n) and b = 1 / sum(d)
         raw = 1 / (1 + np.exp(-(np.array([900.0, 100.0]) / 1000
                                 - np.array([0.1, 0.5]) / 0.6)))
-        assert np.allclose(w.weights, raw / raw.sum(), rtol=0, atol=1e-15)
+        assert np.allclose(w, raw / raw.sum(), rtol=0, atol=1e-15)
 
     def test_symmetry_gives_uniform(self):
         for k in (2, 5, 9):
             w = aggregation_weights(np.full(k, 30.0), np.full(k, 0.2))
-            assert np.allclose(w.weights, 1.0 / k, atol=1e-12)
+            assert np.allclose(w, 1.0 / k, atol=1e-12)
 
     def test_zero_discrepancies_disable_b(self):
         w = aggregation_weights(np.array([10.0, 20.0]), np.zeros(2))
         # b = 0, so e_k = sigmoid(n_k / sum(n)) normalized
         raw = 1 / (1 + np.exp(-np.array([10.0, 20.0]) / 30))
-        assert np.allclose(w.weights, raw / raw.sum(), rtol=0, atol=1e-15)
-        assert w.weights.sum() == pytest.approx(1.0)
+        assert np.allclose(w, raw / raw.sum(), rtol=0, atol=1e-15)
+        assert w.sum() == pytest.approx(1.0)
 
     def test_balanced_client_outweighs_skewed(self):
         w = aggregation_weights(np.array([50.0, 50.0]), np.array([0.6, 0.1]))
-        assert w.weights[1] > w.weights[0]
+        assert w[1] > w[0]
 
     def test_validation(self):
         with pytest.raises(DimensionMismatchError):
@@ -306,7 +295,7 @@ class TestConsistentPrototypes:
             np.array([[[0.0, 0.0], [4.0, 8.0]]]),
             np.ones((1, 2), dtype=bool),
         )
-        weights = DiscrepancyWeights(np.zeros(2), np.array([0.25, 0.75]))
+        weights = np.array([0.25, 0.75])
         out = consistent_prototypes(rel, weights)
         assert np.allclose(out.o[0], [3.0, 6.0])
         assert out.present.tolist() == [True]
@@ -316,21 +305,21 @@ class TestConsistentPrototypes:
             np.array([[[2.0, 0.0], [10.0, 10.0], [4.0, 2.0]]]),
             np.array([[True, False, True]]),
         )
-        weights = DiscrepancyWeights(np.zeros(3), np.array([0.2, 0.5, 0.3]))
+        weights = np.array([0.2, 0.5, 0.3])
         out = consistent_prototypes(rel, weights)
         expected = (0.2 * np.array([2.0, 0.0]) + 0.3 * np.array([4.0, 2.0])) / 0.5
         assert np.allclose(out.o[0], expected)
 
     def test_missing_class_is_not_present(self):
         rel = RelationalSet(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
-        weights = DiscrepancyWeights(np.zeros(2), np.array([0.5, 0.5]))
+        weights = np.array([0.5, 0.5])
         out = consistent_prototypes(rel, weights)
         assert out.present.tolist() == [False]
         assert np.array_equal(out.o, np.zeros((1, 2)))
 
     def test_weight_shape_checked(self):
         rel = RelationalSet(np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool))
-        weights = DiscrepancyWeights(np.zeros(3), np.full(3, 1 / 3))
+        weights = np.full(3, 1 / 3)
         with pytest.raises(DimensionMismatchError):
             consistent_prototypes(rel, weights)
 
@@ -343,24 +332,41 @@ class TestBuildCollaboration:
         counts = rng.integers(1, 20, size=(4, 3))
         col = build_collaboration(sets, counts, neighbors=2)
 
-        g = compute_global_prototypes(sets)
-        table = angular_differences(g, sets)
-        adj = build_adjacency(table, 2)
-        rel = relational_prototypes(adj, sets)
+        vectors, present = stacked(sets)
+        g, phi = phi_of(sets)
+        adj = build_adjacency(phi, present.T, 2)
+        rel = relational_prototypes(adj, vectors)
         d = np.array([client_discrepancy(row) for row in counts])
         w = aggregation_weights(counts.sum(axis=1), d)
         out = consistent_prototypes(rel, w)
 
-        assert np.allclose(col.global_prototypes.vectors, g.vectors)
-        assert np.array_equal(col.adjacency.a, adj.a)
-        assert np.allclose(col.relational.r, rel.r)
-        assert np.allclose(col.weights.weights, w.weights)
-        assert np.allclose(col.consistent.o, out.o)
+        assert np.array_equal(col.global_prototypes, g)
+        assert np.array_equal(col.phi, phi)
+        assert np.array_equal(col.adjacency, adj)
+        assert np.array_equal(col.relational.r, rel.r)
+        assert np.array_equal(col.relational.valid, rel.valid)
+        assert np.array_equal(col.discrepancies, d)
+        assert np.array_equal(col.weights, w)
+        assert np.array_equal(col.consistent.o, out.o)
+        assert np.array_equal(col.consistent.present, out.present)
 
     def test_counts_shape_checked(self):
         sets = [proto(np.ones((2, 3)))]
         with pytest.raises(DimensionMismatchError):
             build_collaboration(sets, np.ones((2, 2)), neighbors=1)
+        # one row per client, but the class axis is not the sets' 3 classes
+        sets = [proto(np.ones((3, 2)) + k, owner=k + 1) for k in range(4)]
+        with pytest.raises(DimensionMismatchError, match=r"\(4, 7\)"):
+            build_collaboration(sets, np.ones((4, 7)), neighbors=1)
+        # a set whose (C, d) differs from the first set's names its owner
+        for odd in (np.ones((2, 2)), np.ones((3, 5))):
+            mixed = sets[:2] + [proto(odd, owner=9)] + sets[3:]
+            with pytest.raises(DimensionMismatchError, match=r"^client 9 "):
+                build_collaboration(mixed, np.ones((4, 3)), neighbors=1)
+
+    def test_needs_at_least_one_set(self):
+        with pytest.raises(InvalidArgumentError):
+            build_collaboration([], np.ones((0, 3)), neighbors=1)
 
     def test_partial_presence_flows_through(self):
         sets = [
@@ -389,7 +395,7 @@ class TestBuildCollaboration:
         for col in built:
             assert np.isfinite(col.relational.r).all()
             assert np.isfinite(col.consistent.o).all()
-        assert np.array_equal(with_nan.adjacency.a, zeroed.adjacency.a)
+        assert np.array_equal(with_nan.adjacency, zeroed.adjacency)
         assert np.array_equal(with_nan.relational.r, zeroed.relational.r)
         assert np.array_equal(with_nan.consistent.o, zeroed.consistent.o)
         assert np.array_equal(with_nan.relational.valid, zeroed.relational.valid)
