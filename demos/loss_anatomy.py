@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from fedsc.losses import SimilarityContext, compute_normalizers, total_loss
+from fedsc.losses import compute_normalizers, total_loss
 from fedsc.model import forward_features, init_params
 from fedsc.prototypes import ConsistentSet, RelationalSet, prototypes_from_features
 

@@ -69,6 +69,7 @@ class Dataset:
         return np.bincount(self.labels - 1, minlength=self.num_classes)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
+        """The rows picked by an index array or a boolean mask, in that order."""
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
@@ -183,7 +184,7 @@ def split_holdout(
     if not 0 < fraction < 1:
         raise InvalidArgumentError("fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    held = []
+    held = np.zeros(dataset.num_samples, dtype=bool)
     for j in range(dataset.num_classes):
         idx = np.flatnonzero(dataset.labels == j + 1)
         if idx.size < 2:
@@ -191,11 +192,8 @@ def split_holdout(
                 f"class {j + 1} needs >= 2 samples to hold out a split"
             )
         take = max(1, int(round(fraction * idx.size)))
-        held.append(rng.choice(idx, size=take, replace=False))
-    held_idx = np.sort(np.concatenate(held))
-    mask = np.zeros(dataset.num_samples, dtype=bool)
-    mask[held_idx] = True
-    return dataset.subset(~mask), dataset.subset(mask)
+        held[rng.choice(idx, size=take, replace=False)] = True
+    return dataset.subset(~held), dataset.subset(held)
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -209,15 +207,25 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+def _clients_of(
+    dataset: Dataset, owner: np.ndarray, num_clients: int
+) -> list[ClientDataset]:
+    """Client k + 1 holds the samples whose owner is k, in dataset order."""
+    parts = [dataset.subset(owner == k) for k in range(num_clients)]
+    return [ClientDataset(k + 1, p.features, p.labels, p.num_classes)
+            for k, p in enumerate(parts)]
+
+
 def partition_dirichlet(
     dataset: Dataset, num_clients: int, alpha: float, seed: int = 0
 ) -> list[ClientDataset]:
     """Split a dataset across clients with Dirichlet(alpha) class proportions.
 
     Per class, client shares are drawn from Dirichlet(alpha * 1_K) and turned
-    into integer counts by largest-remainder rounding.  Clients left empty by
-    rounding receive one sample reassigned from the largest client, so every
-    client ends with at least one sample.
+    into integer counts by largest-remainder rounding.  Each client left
+    empty by rounding then receives one sample from the largest client: the
+    last sample, in its class's shuffle, of that client's largest class
+    share.  So every client ends with at least one sample.
     """
     if num_clients < 1:
         raise InvalidArgumentError("num_clients must be >= 1")
@@ -229,41 +237,27 @@ def partition_dirichlet(
         )
 
     rng = np.random.default_rng(seed)
-    assigned: list[list[np.ndarray]] = [
-        [np.empty(0, dtype=np.int64) for _ in range(dataset.num_classes)]
-        for _ in range(num_clients)
-    ]
+    perms = []
+    counts = np.zeros((num_clients, dataset.num_classes), dtype=np.int64)
     for j in range(dataset.num_classes):
-        idx = rng.permutation(np.flatnonzero(dataset.labels == j + 1))
-        if idx.size == 0:
-            continue
-        shares = rng.dirichlet(np.full(num_clients, alpha))
-        counts = _largest_remainder(shares, idx.size)
-        stops = np.cumsum(counts)
-        start = 0
-        for k in range(num_clients):
-            assigned[k][j] = idx[start : stops[k]]
-            start = stops[k]
+        perms.append(rng.permutation(np.flatnonzero(dataset.labels == j + 1)))
+        if perms[j].size:
+            shares = rng.dirichlet(np.full(num_clients, alpha))
+            counts[:, j] = _largest_remainder(shares, perms[j].size)
 
-    totals = np.array([sum(a.size for a in per) for per in assigned])
-    while (totals == 0).any():
-        empty = int(np.argmin(totals))
-        donor = int(np.argmax(totals))
-        donor_class = int(np.argmax([a.size for a in assigned[donor]]))
-        moved = assigned[donor][donor_class][-1:]
-        assigned[donor][donor_class] = assigned[donor][donor_class][:-1]
-        assigned[empty][donor_class] = moved
-        totals[donor] -= 1
-        totals[empty] += 1
-
-    clients = []
-    for k in range(num_clients):
-        idx = np.sort(np.concatenate(assigned[k]))
-        clients.append(
-            ClientDataset(k + 1, dataset.features[idx], dataset.labels[idx],
-                          dataset.num_classes)
-        )
-    return clients
+    owner = np.empty(dataset.num_samples, dtype=np.int64)
+    for j, perm in enumerate(perms):
+        owner[perm] = np.repeat(np.arange(num_clients), counts[:, j])
+    stops = np.cumsum(counts, axis=0)  # share k of class j ends at perms[j][stops[k, j] - 1]
+    while not (totals := counts.sum(axis=1)).all():
+        empty, donor = int(np.argmin(totals)), int(np.argmax(totals))
+        j = int(np.argmax(counts[donor]))
+        # K <= N: a recipient holds 1 sample, never the most, so shares shrink from the end
+        stops[donor, j] -= 1
+        owner[perms[j][stops[donor, j]]] = empty
+        counts[donor, j] -= 1
+        counts[empty, j] += 1
+    return _clients_of(dataset, owner, num_clients)
 
 
 def partition_biased(
@@ -287,8 +281,7 @@ def partition_biased(
 
     rng = np.random.default_rng(seed)
     block = dataset.num_classes // (num_clients - 1)
-    full_parts: list[np.ndarray] = []
-    rest_by_class: list[np.ndarray] = []
+    owner = np.empty(dataset.num_samples, dtype=np.int64)
     for j in range(dataset.num_classes):
         idx = rng.permutation(np.flatnonzero(dataset.labels == j + 1))
         if idx.size < 2:
@@ -296,22 +289,9 @@ def partition_biased(
                 f"class {j + 1} needs >= 2 samples for a biased split"
             )
         take = max(1, int(np.floor(0.1 * idx.size)))
-        full_parts.append(idx[:take])
-        rest_by_class.append(idx[take:])
-
-    clients = []
-    for k in range(num_clients - 1):
-        idx = np.sort(np.concatenate(rest_by_class[k * block : (k + 1) * block]))
-        clients.append(
-            ClientDataset(k + 1, dataset.features[idx], dataset.labels[idx],
-                          dataset.num_classes)
-        )
-    idx = np.sort(np.concatenate(full_parts))
-    clients.append(
-        ClientDataset(num_clients, dataset.features[idx], dataset.labels[idx],
-                      dataset.num_classes)
-    )
-    return clients
+        owner[idx[:take]] = num_clients - 1
+        owner[idx[take:]] = j // block
+    return _clients_of(dataset, owner, num_clients)
 
 
 def long_tail_profile(n_max: int, num_classes: int, rho: float) -> np.ndarray:
@@ -344,11 +324,11 @@ def apply_long_tail(dataset: Dataset, rho: float, seed: int = 0) -> Dataset:
             f"rho={rho} empties the rarest class ({counts[0]} per class)"
         )
     rng = np.random.default_rng(seed)
-    chosen = []
+    kept = np.zeros(dataset.num_samples, dtype=bool)
     for j in range(dataset.num_classes):
         idx = np.flatnonzero(dataset.labels == j + 1)
-        chosen.append(rng.choice(idx, size=keep[j], replace=False))
-    return dataset.subset(np.sort(np.concatenate(chosen)))
+        kept[rng.choice(idx, size=keep[j], replace=False)] = True
+    return dataset.subset(kept)
 
 
 def partition_dataset(dataset: Dataset, config: PartitionConfig) -> list[ClientDataset]:

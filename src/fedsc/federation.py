@@ -228,9 +228,11 @@ def run_round(
     Clients run independently (on a thread pool when ``config.threads`` > 1);
     updates are merged in the order of ``clients`` and the prototype rebuild
     walks clients in ascending id order, so results do not depend on
-    scheduling.  An empty ``test`` raises ``EmptyDatasetError`` when the
-    round is evaluated, after training.
+    scheduling.  An empty ``test`` raises ``EmptyDatasetError`` before the
+    round starts, leaving ``state`` untouched.
     """
+    if test.num_samples == 0:
+        raise EmptyDatasetError("cannot evaluate on zero samples")
     start = time.perf_counter()
     state.round_index += 1
     k = len(clients)

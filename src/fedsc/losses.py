@@ -53,6 +53,11 @@ class SimilarityContext:
     tau: float = 0.05
 
     def __post_init__(self):
+        if np.ndim(self.u) != 2 or np.shape(self.valid) != np.shape(self.u):
+            raise DimensionMismatchError(
+                f"normalizers u {np.shape(self.u)} and valid "
+                f"{np.shape(self.valid)} are not both (C, K)"
+            )
         if not 0 < self.tau < np.inf:
             raise InvalidArgumentError("tau must be finite and > 0")
 
@@ -99,6 +104,34 @@ def compute_normalizers(
     )
     u = np.sqrt(np.maximum(sq, 0.0)).mean(axis=0).reshape(num_classes, num_clients)
     return SimilarityContext(u, relational.valid.copy(), tau)
+
+
+def _check_prototype_shapes(
+    num_classes: int,
+    d: int,
+    relational: RelationalSet | None,
+    consistent: ConsistentSet | None,
+    context: SimilarityContext | None,
+) -> None:
+    """The prototype sets cover ``num_classes`` classes of width ``d``, and
+    the normalizers cover the relational set's (class, client) grid."""
+    if relational is not None:
+        c, k, width = relational.r.shape
+        if (c, width) != (num_classes, d):
+            raise DimensionMismatchError(
+                f"relational prototypes {relational.r.shape} do not match "
+                f"{num_classes} classes of dim {d}"
+            )
+        if context is not None and context.u.shape != (c, k):
+            raise DimensionMismatchError(
+                f"normalizers {context.u.shape} do not match relational "
+                f"prototypes {(c, k)}"
+            )
+    if consistent is not None and consistent.o.shape != (num_classes, d):
+        raise DimensionMismatchError(
+            f"consistent prototypes {consistent.o.shape} do not match "
+            f"{num_classes} classes of dim {d}"
+        )
 
 
 def _check_label(label: int, num_classes: int) -> int:
@@ -295,6 +328,8 @@ def total_loss(
         raise LabelOutOfRangeError(f"labels outside 1..{num_classes}")
     n = batch.z.shape[0]
     logits = forward_logits(params, batch.z)
+    _check_prototype_shapes(num_classes, params.feature_dim, relational,
+                            consistent, context)
 
     ce_losses, ce_grad = _ce_batch(logits, labels)
     ce = float(ce_losses.mean())

@@ -223,9 +223,15 @@ def evaluate_accuracy(params: ModelParams, features: np.ndarray,
     """Fraction of samples whose argmax logit matches the 1-based label.
 
     Zero samples raise ``EmptyDatasetError``: their accuracy is undefined.
+    A label count other than the sample count raises ``DimensionMismatchError``.
     """
     if len(features) == 0:
         raise EmptyDatasetError("cannot evaluate on zero samples")
+    labels = np.asarray(labels)
+    if labels.shape != (len(features),):
+        raise DimensionMismatchError(
+            f"labels shape {labels.shape} does not match {len(features)} samples"
+        )
     z = forward_features(params, features).z
     pred = np.argmax(forward_logits(params, z), axis=1) + 1
-    return float(np.mean(pred == np.asarray(labels)))
+    return float(np.mean(pred == labels))

@@ -59,6 +59,13 @@ class RelationalSet:
     r: np.ndarray      # (num_classes, num_clients, d)
     valid: np.ndarray  # (num_classes, num_clients) bool
 
+    def __post_init__(self):
+        if np.ndim(self.r) != 3 or np.shape(self.valid) != np.shape(self.r)[:2]:
+            raise DimensionMismatchError(
+                f"relational r {np.shape(self.r)} and valid "
+                f"{np.shape(self.valid)} are not (C, K, d) and (C, K)"
+            )
+
 
 @dataclass
 class ConsistentSet:
@@ -66,6 +73,13 @@ class ConsistentSet:
 
     o: np.ndarray        # (num_classes, d)
     present: np.ndarray  # (num_classes,) bool
+
+    def __post_init__(self):
+        if np.ndim(self.o) != 2 or np.shape(self.present) != np.shape(self.o)[:1]:
+            raise DimensionMismatchError(
+                f"consistent o {np.shape(self.o)} and present "
+                f"{np.shape(self.present)} are not (C, d) and (C,)"
+            )
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Datasets, partitions, long-tail thinning, and the FSD1 container."""
 
+import hashlib
 import math
 import struct
 
@@ -250,6 +251,10 @@ class TestPartitionBiased:
             partition_biased(ds, 5, seed=0)  # 6 classes across 4 owners
         with pytest.raises(InvalidArgumentError):
             partition_biased(ds, 1, seed=0)
+        # blobs are stored class by class: drop all but one sample of class 6
+        lone = ds.subset(np.arange(ds.num_samples - 29))
+        with pytest.raises(InvalidArgumentError, match="class 6 needs >= 2 samples"):
+            partition_biased(lone, 4, seed=0)
 
 
 class TestLongTail:
@@ -345,6 +350,71 @@ class TestPartitionDataset:
             PartitionConfig(scheme="long_tailed")
         with pytest.raises(InvalidArgumentError):
             PartitionConfig(seed=-1)
+
+
+def split_digest(parts):
+    """sha256 over each part's client id (0 for a Dataset), labels and features."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(struct.pack("<q", getattr(part, "client_id", 0)))
+        h.update(part.labels.tobytes())
+        h.update(part.features.tobytes())
+    return h.hexdigest()
+
+
+def _h2h_blobs():
+    return generate_gaussian_blobs(10, 1000, 16, 4.0, 1)
+
+
+SPLIT_CASES = {
+    # every seed leaves 3-7 of the 8 clients empty before the repair
+    "dirichlet-repair": lambda: [
+        c
+        for seed in range(20)
+        for c in partition_dirichlet(small_blobs(num_classes=2, per_class=10), 8,
+                                     alpha=0.05, seed=seed)
+    ],
+    "biased-6-class": lambda: partition_biased(
+        small_blobs(num_classes=6, per_class=30), 4, seed=0
+    ),
+    "dirichlet-h2h": lambda: partition_dirichlet(
+        split_holdout(_h2h_blobs(), 0.5, 1)[0], 10, 0.2, seed=1
+    ),
+    "holdout-h2h": lambda: split_holdout(_h2h_blobs(), 0.5, 1),
+    "long-tail-h2h": lambda: [apply_long_tail(_h2h_blobs(), 100.0, seed=1)],
+}
+
+
+class TestSplitsPinned:
+    """Exact splits, recorded before the split functions marked samples in
+    one vector; a change here changes every experiment's data."""
+
+    EXPECTED = {
+        "dirichlet-repair": (
+            "6eb83ad4f1d6ce5a3670dbee64999259"
+            "95e18372b90f38892bd13bee52569fbe"
+        ),
+        "biased-6-class": (
+            "a30100cbf4463bdbc19280822c1d249e"
+            "66ba31ecb75487b8dd0d7eae7295c01e"
+        ),
+        "dirichlet-h2h": (
+            "85eb26d43fd707a6af45941603973d15"
+            "b439d1b8e93ac45e134b4921923daefc"
+        ),
+        "holdout-h2h": (
+            "b851f99763d43921d3893021d0df2853"
+            "46a22216d7b9d22d742f28c2a17ac965"
+        ),
+        "long-tail-h2h": (
+            "0d7b36eddb94a6aade2d139c201a5019"
+            "4ab5d8cb2652c8177661e2cbce62f265"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_digest(self, case):
+        assert split_digest(SPLIT_CASES[case]()) == self.EXPECTED[case]
 
 
 class TestFsd1Format:

@@ -214,14 +214,20 @@ class TestRunRound:
             assert np.array_equal(protos.present, client.class_counts > 0)
 
     def test_empty_test_set_rejected(self):
-        # a caller that drives rounds itself gets an error, not a nan accuracy
+        # a caller that drives rounds itself gets an error, not a nan accuracy,
+        # and a state that has not moved
         ds = small_dataset()
         clients = partition_dataset(ds, small_partition())
         state = ServerState(init_params(4, 8, 6, 3, seed=0))
+        before = state.params.flat.tobytes()
         empty = Dataset(np.empty((0, 4)), np.empty(0), 3)
         with pytest.raises(EmptyDatasetError, match="zero samples"):
             run_round(state, clients, small_config(rounds=1),
                       np.random.default_rng(0), empty)
+        assert state.round_index == 0
+        assert state.params.flat.tobytes() == before
+        assert state.latest_prototypes == {}
+        assert state.relational is None
         with pytest.raises(EmptyDatasetError):
             evaluate_accuracy(state.params, empty.features, empty.labels)
 

@@ -67,6 +67,22 @@ class TestComputeNormalizers:
                 SimilarityContext(np.ones((2, 2)), np.ones((2, 2), dtype=bool), tau=tau)
 
 
+class TestSetShapes:
+    def test_context_mask_must_match_normalizers(self):
+        # a (3, 1) mask would broadcast against a (3, 2) relational set
+        with pytest.raises(DimensionMismatchError):
+            SimilarityContext(np.ones((3, 2)), np.ones((3, 1), dtype=bool), 0.1)
+
+    def test_relational_mask_must_match_its_prototypes(self):
+        # compute_normalizers would read a (3, 2) grid from r and pass (2, 2) on
+        with pytest.raises(DimensionMismatchError):
+            RelationalSet(np.ones((3, 2, 3)), np.ones((2, 2), dtype=bool))
+
+    def test_consistent_mask_must_match_its_prototypes(self):
+        with pytest.raises(DimensionMismatchError):
+            ConsistentSet(np.ones((3, 4)), np.ones(2, dtype=bool))
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_c(self):
         for c in (2, 5, 10):
@@ -292,6 +308,35 @@ class TestTotalLoss:
             rpcl_loss_and_grad(batch.z[0], 1, rel, ctx)
         with pytest.raises(InvalidArgumentError):
             total_loss(batch, rel, consistent, ctx, params)
+
+    @pytest.mark.parametrize("grid", [(3, 1), (2, 2)])
+    def test_context_must_cover_relational_grid(self, grid):
+        # neither grid may reach numpy's indexing or broadcasting
+        params, batch, rel, consistent, _ = self.setup_case()
+        ctx = SimilarityContext(np.ones(grid), np.ones(grid, dtype=bool), 0.1)
+        with pytest.raises(DimensionMismatchError, match="normalizers"):
+            total_loss(batch, rel, consistent, ctx, params)
+
+    def test_consistent_must_match_model_classes(self):
+        params, batch, rel, _, ctx = self.setup_case()
+        two = ConsistentSet(np.zeros((2, 4)), np.ones(2, dtype=bool))
+        with pytest.raises(DimensionMismatchError, match="consistent"):
+            total_loss(batch, rel, two, ctx, params)
+
+    def test_consistent_must_match_feature_width(self):
+        params, batch, rel, _, ctx = self.setup_case()
+        wide = ConsistentSet(np.zeros((3, 5)), np.ones(3, dtype=bool))
+        with pytest.raises(DimensionMismatchError, match="consistent"):
+            total_loss(batch, rel, wide, ctx, params)
+
+    def test_relational_must_match_model_classes_and_width(self):
+        params, batch, _, consistent, _ = self.setup_case()
+        rng = np.random.default_rng(5)
+        for classes, d in ((2, 4), (3, 5)):
+            rel = random_relational(rng, classes, 2, d)
+            ctx = SimilarityContext(np.ones((classes, 2)), rel.valid, 0.1)
+            with pytest.raises(DimensionMismatchError, match="relational"):
+                total_loss(batch, rel, consistent, ctx, params)
 
     def test_without_prototypes_reduces_to_ce(self):
         params, batch, _, _, _ = self.setup_case(seed=6)

@@ -301,3 +301,12 @@ class TestEvaluateAccuracy:
         z = forward_features(params, x).z
         pred = np.argmax(forward_logits(params, z), axis=1) + 1
         assert evaluate_accuracy(params, x, y) == pytest.approx(np.mean(pred == y))
+
+    def test_label_count_checked(self):
+        # a single label would broadcast against 60 rows into an accuracy
+        params = tiny_params(seed=9)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((60, params.d_in))
+        y = rng.integers(1, params.num_classes + 1, size=60)
+        with pytest.raises(DimensionMismatchError):
+            evaluate_accuracy(params, x, y[:1])
