@@ -18,11 +18,21 @@ Per-sample functions are the readable reference; ``total_loss`` runs a
 vectorized batch path that the tests pin against them.  The batch RPCL folds
 ``1 / (u tau)`` into the prototypes, so its scores and gradient may differ
 from the reference in the last bits.
+
+Everything in RPCL that depends only on the relational set and the
+normalizers is prepared once per epoch, by ``compute_normalizers``: the
+valid prototypes scaled by ``1 / (|r| u tau)``, a (class, prototype)
+positive table and a per-class flag for "has a positive and a negative".
+The zero-norm-prototype and ``u <= 0`` checks run there too.  A context
+built by hand carries none of this, and ``total_loss`` prepares it on each
+call through the same function; so does a computed context passed with a
+relational set other than the one it was computed from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +54,28 @@ CPDR_NORMS = ("sq", "l1")
 DEFAULT_CPDR_NORM = "sq"
 
 
+class _RpclPrototypes(NamedTuple):
+    """The RPCL arrays that change once per epoch, not per batch."""
+
+    relational: RelationalSet  # the set they were prepared from
+    r_scaled: np.ndarray       # (P, d) valid prototypes r / (|r| u tau)
+    positive: np.ndarray       # (C, P) 1.0 where prototype p belongs to class j
+    contrasted: np.ndarray     # (C,) bool: class j has a positive and a negative
+
+
 @dataclass
 class SimilarityContext:
-    """Per-prototype distance normalizers U[j, k] plus the temperature."""
+    """Per-prototype distance normalizers U[j, k] plus the temperature.
+
+    ``prepared`` holds the per-epoch RPCL arrays that ``compute_normalizers``
+    builds; a context built by hand leaves it ``None``.
+    """
 
     u: np.ndarray      # (num_classes, num_clients)
     valid: np.ndarray  # (num_classes, num_clients) bool
     tau: float = 0.05
+    prepared: _RpclPrototypes | None = field(
+        default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if np.ndim(self.u) != 2 or np.shape(self.valid) != np.shape(self.u):
@@ -85,25 +110,56 @@ def compute_normalizers(
 
     U[j, k] averages ||z_q - r[j, k]|| over all the client's features, the
     scale that divides the cosine in RPCL.  Recomputed from a feature
-    snapshot at every epoch start.
+    snapshot at every epoch start.  Only the valid (class, client) cells are
+    computed; RPCL never reads the others, and they hold 0.
+
+    The returned context is the epoch's snapshot: it also carries the RPCL
+    prototypes prepared from ``relational``, so a zero-norm valid prototype
+    raises ``DegenerateVectorError`` and a valid cell with ``u <= 0`` raises
+    ``InvalidArgumentError`` here, and its ``u`` and ``valid`` are read-only.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] == 0:
         raise EmptyFeatureSetError("need a nonempty (n, d) feature matrix")
-    num_classes, num_clients, d = relational.r.shape
+    d = relational.r.shape[2]
     if feats.shape[1] != d:
         raise DimensionMismatchError(
             f"features dim {feats.shape[1]} != prototype dim {d}"
         )
+    valid = relational.valid.copy()
+    r = relational.r[valid]
     # ||z - r||^2 = ||z||^2 + ||r||^2 - 2 z.r, clipped against rounding
-    r_flat = relational.r.reshape(-1, d)
-    sq = (
-        np.sum(feats**2, axis=1)[:, None]
-        + np.sum(r_flat**2, axis=1)[None, :]
-        - 2.0 * feats @ r_flat.T
-    )
-    u = np.sqrt(np.maximum(sq, 0.0)).mean(axis=0).reshape(num_classes, num_clients)
-    return SimilarityContext(u, relational.valid.copy(), tau)
+    sq = np.sum(feats**2, axis=1)[:, None] + np.sum(r**2, axis=1)[None, :]
+    sq -= 2.0 * feats @ r.T
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    u = np.zeros(valid.shape)
+    u[valid] = sq.mean(axis=0)
+    u.flags.writeable = valid.flags.writeable = False
+    context = SimilarityContext(u, valid, tau)
+    return replace(context, prepared=_prepare_rpcl(relational, context))
+
+
+def _prepare_rpcl(
+    relational: RelationalSet, context: SimilarityContext
+) -> _RpclPrototypes:
+    """The RPCL arrays for the prototypes valid in both the set and the
+    context; checks their norms and normalizers once."""
+    valid = relational.valid & context.valid
+    r = relational.r[valid]                     # (P, d)
+    u = context.u[valid]
+    rn = np.linalg.norm(r, axis=1)
+    if (rn < _EPS).any():
+        raise DegenerateVectorError("zero-norm relational prototype")
+    if (u <= 0).any():
+        raise InvalidArgumentError("normalizer u must be > 0")
+    r_scaled = r / (rn * u * context.tau)[:, None]
+    class_of = np.nonzero(valid)[0]
+    positive = class_of[None, :] == np.arange(valid.shape[0])[:, None]
+    pos_count = positive.sum(axis=1)
+    contrasted = (pos_count > 0) & (pos_count < positive.shape[1])
+    return _RpclPrototypes(relational, r_scaled, positive.astype(np.float64),
+                           contrasted)
 
 
 def _check_prototype_shapes(
@@ -134,6 +190,13 @@ def _check_prototype_shapes(
         )
 
 
+def _feature_vector(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise DimensionMismatchError(f"features {z.shape} are not one (d,) vector")
+    return z
+
+
 def _check_label(label: int, num_classes: int) -> int:
     if not 1 <= label <= num_classes:
         raise LabelOutOfRangeError(f"label {label} outside 1..{num_classes}")
@@ -152,8 +215,9 @@ def rpcl_loss_and_grad(
     other class's valid prototype.  Returns the loss and its gradient in z,
     holding prototypes and normalizers fixed.
     """
-    z = np.asarray(z, dtype=np.float64)
-    num_classes, num_clients, d = relational.r.shape
+    z = _feature_vector(z)
+    num_classes, num_clients, _ = relational.r.shape
+    _check_prototype_shapes(num_classes, len(z), relational, None, context)
     j = _check_label(label, num_classes)
     zn = np.linalg.norm(z)
     if zn < _EPS:
@@ -209,8 +273,10 @@ def cpdr_loss_and_grad(
     absolute differences, an ablation whose gradient keeps unit scale and
     jumps at the prototype.
     """
-    z = np.asarray(z, dtype=np.float64)
-    j = _check_label(label, consistent.o.shape[0])
+    z = _feature_vector(z)
+    num_classes = consistent.o.shape[0]
+    _check_prototype_shapes(num_classes, len(z), None, consistent, None)
+    j = _check_label(label, num_classes)
     if not consistent.present[j]:
         raise NoPositivePrototypeError(f"no consistent prototype for class {label}")
     diff = z - consistent.o[j]
@@ -234,43 +300,30 @@ def ce_loss_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]
 
 
 def _rpcl_batch(
-    z: np.ndarray,
-    labels: np.ndarray,
-    relational: RelationalSet,
-    context: SimilarityContext,
+    z: np.ndarray, labels: np.ndarray, prepared: _RpclPrototypes
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized RPCL over a batch; samples without a valid positive or
     negative contribute zero."""
-    valid = relational.valid & context.valid
-    if not valid.any():
+    r_scaled = prepared.r_scaled
+    if r_scaled.shape[0] == 0:
         return np.zeros(len(z)), np.zeros_like(z)
-    r = relational.r[valid]                     # (P, d)
-    u = context.u[valid]
-    class_of = np.nonzero(valid)[0]
-
     zn = np.linalg.norm(z, axis=1)
     if (zn < _EPS).any():
         raise DegenerateVectorError("zero-norm feature vector in batch")
-    rn = np.linalg.norm(r, axis=1)
-    if (rn < _EPS).any():
-        raise DegenerateVectorError("zero-norm relational prototype")
-    if (u <= 0).any():
-        raise InvalidArgumentError("normalizer u must be > 0")
     z_hat = z / zn[:, None]
-    r_scaled = r / (rn * u * context.tau)[:, None]
     s = z_hat @ r_scaled.T                      # (n, P): cos / (u tau)
 
-    pos = class_of[None, :] == (labels - 1)[:, None]   # (n, P)
-    pos_count = pos.sum(axis=1)
-    active = (pos_count > 0) & (pos_count < pos.shape[1])
+    idx = labels - 1
+    pos = prepared.positive[idx]                # (n, P)
+    active = prepared.contrasted[idx]
 
     shift = s.max(axis=1, keepdims=True)
     w = np.exp(s - shift)
     s_all = w.sum(axis=1)
-    s_pos = np.where(pos, w, 0.0).sum(axis=1)
-    losses = np.where(active, np.log(s_all) - np.log(np.maximum(s_pos, _EPS)), 0.0)
+    s_pos = np.maximum((w * pos).sum(axis=1), _EPS)
+    losses = np.where(active, np.log(s_all) - np.log(s_pos), 0.0)
 
-    c = w / s_all[:, None] - pos * (w / np.maximum(s_pos, _EPS)[:, None])
+    c = w / s_all[:, None] - pos * (w / s_pos[:, None])
     c *= active[:, None]
     grad = c @ r_scaled - (c * s).sum(axis=1)[:, None] * z_hat
     grad /= zn[:, None]
@@ -296,12 +349,12 @@ def _cpdr_batch(
 
 
 def _ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    idx = labels - 1
+    rows, idx = np.arange(len(labels)), labels - 1
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
-    losses = lse - shifted[np.arange(len(idx)), idx]
+    losses = lse - shifted[rows, idx]
     grad = np.exp(shifted - lse[:, None])
-    grad[np.arange(len(idx)), idx] -= 1.0
+    grad[rows, idx] -= 1.0
     return losses, grad
 
 
@@ -334,14 +387,21 @@ def total_loss(
     ce_losses, ce_grad = _ce_batch(logits, labels)
     ce = float(ce_losses.mean())
     rpcl = cpdr = 0.0
-    grad_z = np.zeros_like(batch.z)
+    grad_z = None
     if relational is not None and context is not None:
-        rpcl_losses, rpcl_grad = _rpcl_batch(batch.z, labels, relational, context)
+        prepared = context.prepared
+        if prepared is None or prepared.relational is not relational:
+            prepared = _prepare_rpcl(relational, context)
+        rpcl_losses, grad_z = _rpcl_batch(batch.z, labels, prepared)
         rpcl = float(rpcl_losses.mean())
-        grad_z += rpcl_grad
     if consistent is not None:
         cpdr_losses, cpdr_grad = _cpdr_batch(batch.z, labels, consistent, cpdr_norm)
         cpdr = float(cpdr_losses.mean())
-        grad_z += cpdr_grad
+        if grad_z is None:
+            grad_z = cpdr_grad
+        else:
+            grad_z += cpdr_grad
+    if grad_z is None:
+        grad_z = np.zeros_like(batch.z)
     grad_z /= n
     return LossBreakdown(ce, rpcl, cpdr, ce + rpcl + cpdr, grad_z, ce_grad / n)

@@ -55,6 +55,25 @@ class TestComputeNormalizers:
         assert ctx.tau == 0.1
         assert np.array_equal(ctx.valid, rel.valid)
 
+    def test_invalid_cells_hold_zero(self):
+        rng = np.random.default_rng(2)
+        feats = rng.standard_normal((9, 3))
+        rel = random_relational(rng, 4, 3, 3, all_valid=False)
+        ctx = compute_normalizers(feats, rel)
+        assert not rel.valid.all()
+        assert (ctx.u[~rel.valid] == 0.0).all()
+        assert (ctx.u[rel.valid] > 0.0).all()
+
+    def test_context_is_a_read_only_snapshot(self):
+        # the prepared RPCL prototypes would not see an in-place edit
+        rng = np.random.default_rng(3)
+        rel = random_relational(rng, 2, 2, 3)
+        ctx = compute_normalizers(rng.standard_normal((5, 3)), rel)
+        with pytest.raises(ValueError):
+            ctx.u[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ctx.valid[0, 0] = False
+
     def test_validation(self):
         rng = np.random.default_rng(1)
         rel = random_relational(rng, 2, 2, 3)
@@ -116,6 +135,13 @@ class TestCrossEntropy:
 
 
 class TestCpdr:
+    def test_shapes_checked(self):
+        wide = ConsistentSet(np.zeros((3, 4)), np.ones(3, dtype=bool))
+        with pytest.raises(DimensionMismatchError, match="consistent"):
+            cpdr_loss_and_grad(np.ones(3), 1, wide)
+        with pytest.raises(DimensionMismatchError):
+            cpdr_loss_and_grad(np.ones((2, 4)), 1, wide)
+
     def test_l1_value_and_sign_gradient(self):
         consistent = ConsistentSet(
             np.array([[1.0, -1.0, 0.0]]), np.array([True])
@@ -149,6 +175,15 @@ class TestCpdr:
 
 
 class TestRpcl:
+    def test_shapes_checked(self):
+        rel = RelationalSet(np.ones((3, 2, 4)), np.ones((3, 2), dtype=bool))
+        narrow = SimilarityContext(np.ones((3, 1)), np.ones((3, 1), dtype=bool))
+        with pytest.raises(DimensionMismatchError, match="normalizers"):
+            rpcl_loss_and_grad(np.ones(4), 1, rel, narrow)
+        ctx = SimilarityContext(np.ones((3, 2)), np.ones((3, 2), dtype=bool))
+        with pytest.raises(DimensionMismatchError, match="relational"):
+            rpcl_loss_and_grad(np.ones(5), 1, rel, ctx)
+
     def test_symmetric_prototypes_give_log_c(self):
         # every class holds the same prototype, so all similarities tie and
         # the contrast reduces to log(#prototypes / #positives)
@@ -299,15 +334,62 @@ class TestTotalLoss:
     def test_rejects_nonpositive_normalizer_like_reference(self):
         params, batch, rel, consistent, ctx = self.setup_case(seed=7)
         # an invalid entry's normalizer is never used
-        ctx.valid[1, 0] = False
-        ctx.u[1, 0] = 0.0
-        out = total_loss(batch, rel, consistent, ctx, params)
+        u, valid = ctx.u.copy(), ctx.valid.copy()
+        valid[1, 0] = False
+        u[1, 0] = 0.0
+        out = total_loss(batch, rel, consistent,
+                         SimilarityContext(u, valid, ctx.tau), params)
         assert np.isfinite(out.rpcl)
-        ctx.u[0, 1] = 0.0
+        u[0, 1] = 0.0
+        bad = SimilarityContext(u, valid, ctx.tau)
         with pytest.raises(InvalidArgumentError):
-            rpcl_loss_and_grad(batch.z[0], 1, rel, ctx)
+            rpcl_loss_and_grad(batch.z[0], 1, rel, bad)
         with pytest.raises(InvalidArgumentError):
-            total_loss(batch, rel, consistent, ctx, params)
+            total_loss(batch, rel, consistent, bad, params)
+
+    def test_invalid_cell_normalizer_unused_in_computed_context(self):
+        params, batch, rel, consistent, ctx = self.setup_case(seed=2, partial=True)
+        assert not rel.valid.all() and (ctx.u[~rel.valid] == 0.0).all()
+        out = total_loss(batch, rel, consistent, ctx, params)
+        assert np.isfinite(out.rpcl) and np.isfinite(out.grad_z).all()
+
+    def test_nonpositive_normalizer_rejected_when_computed(self):
+        # every feature sits on prototype r[0, 0], exactly: u[0, 0] == 0
+        rng = np.random.default_rng(8)
+        rel = random_relational(rng, 3, 2, 3)
+        rel.r[0, 0] = (1.0, 2.0, 2.0)
+        with pytest.raises(InvalidArgumentError):
+            compute_normalizers(np.tile(rel.r[0, 0], (4, 1)), rel)
+
+    def test_zero_norm_prototype_rejected(self):
+        params, batch, rel, consistent, ctx = self.setup_case(seed=9)
+        rel.r[2, 1] = 0.0
+        with pytest.raises(DegenerateVectorError):
+            compute_normalizers(batch.z, rel)
+        hand = SimilarityContext(ctx.u.copy(), ctx.valid.copy(), ctx.tau)
+        with pytest.raises(DegenerateVectorError):
+            total_loss(batch, rel, consistent, hand, params)
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_computed_and_hand_built_contexts_agree(self, partial):
+        params, batch, rel, consistent, ctx = self.setup_case(seed=10, partial=partial)
+        hand = SimilarityContext(ctx.u.copy(), ctx.valid.copy(), ctx.tau)
+        self.assert_same(total_loss(batch, rel, consistent, ctx, params),
+                         total_loss(batch, rel, consistent, hand, params))
+
+    def test_computed_context_follows_the_relational_set_given(self):
+        params, batch, rel, consistent, ctx = self.setup_case(seed=11)
+        other = RelationalSet(rel.r[:, ::-1] * 2.0, rel.valid.copy())
+        hand = SimilarityContext(ctx.u.copy(), ctx.valid.copy(), ctx.tau)
+        got = total_loss(batch, other, consistent, ctx, params)
+        self.assert_same(got, total_loss(batch, other, consistent, hand, params))
+        assert got.rpcl != total_loss(batch, rel, consistent, ctx, params).rpcl
+
+    @staticmethod
+    def assert_same(a, b):
+        assert (a.ce, a.rpcl, a.cpdr, a.total) == (b.ce, b.rpcl, b.cpdr, b.total)
+        assert np.array_equal(a.grad_z, b.grad_z)
+        assert np.array_equal(a.grad_logits, b.grad_logits)
 
     @pytest.mark.parametrize("grid", [(3, 1), (2, 2)])
     def test_context_must_cover_relational_grid(self, grid):
