@@ -11,9 +11,8 @@ Every ``[partition]`` and ``[federation]`` key, and its flag, is the
 same-named field of :class:`PartitionConfig`, :class:`FederationConfig` or
 :class:`OptimizerConfig` and takes its type and default from there; only the
 ``[data]`` knobs and the output directory live in :class:`RunConfig`.
-Unknown config keys are hard errors.  The ``FEDSC_SEED`` environment
-variable overrides the seed from every other source.  Exit codes: 0 success,
-2 configuration error, 3 runtime error.
+Unknown config keys are hard errors.  Exit codes: 0 success, 2 configuration
+error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -135,8 +133,8 @@ def _load_config_file(path: str) -> dict:
 def _resolve_run_config(
     args: argparse.Namespace,
 ) -> tuple[RunConfig, PartitionConfig, FederationConfig]:
-    """Layer defaults, preset, config file, flags and ``FEDSC_SEED``, then
-    build the three configs; any invalid value is a config error."""
+    """Layer defaults, preset, config file and flags, then build the three
+    configs; any invalid value is a config error."""
     values: dict = {}
     if args.preset:
         if args.preset not in _PRESETS:
@@ -148,12 +146,6 @@ def _resolve_run_config(
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
-    env_seed = os.environ.get("FEDSC_SEED")
-    if env_seed is not None:
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise InvalidConfigError(f"FEDSC_SEED must be an integer: {exc}") from exc
     for name, value in values.items():
         if _FIELD_TYPES[name] is float and not math.isfinite(value):
             raise InvalidConfigError(f"{name} must be finite, got {value}")

@@ -38,23 +38,27 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.ascontiguousarray(self.labels)
         if self.features.ndim != 2:
             raise DimensionMismatchError("features must be 2-d (samples x dim)")
-        if self.labels.shape != (self.features.shape[0],):
+        if labels.shape != (self.features.shape[0],):
             raise DimensionMismatchError(
-                f"labels shape {self.labels.shape} does not match "
+                f"labels shape {labels.shape} does not match "
                 f"{self.features.shape[0]} samples"
             )
         if self.num_classes < 1:
             raise InvalidArgumentError("num_classes must be >= 1")
-        if self.labels.size and (
-            self.labels.min() < 1 or self.labels.max() > self.num_classes
-        ):
-            row = int(np.argmax((self.labels < 1) | (self.labels > self.num_classes)))
-            raise InvalidArgumentError(
-                f"row {row} has label {self.labels[row]} outside 1..{self.num_classes}"
-            )
+        # checked before the int64 cast, which would truncate 1.7 to 1
+        outside = (labels < 1) | (labels > self.num_classes)
+        bad = outside
+        if labels.dtype.kind == "f":
+            bad = outside | (labels != np.trunc(labels))  # NaN is unequal to itself
+        if bad.any():
+            row = int(np.argmax(bad))
+            reason = (f"outside 1..{self.num_classes}" if outside[row]
+                      else "that is not an integer")
+            raise InvalidArgumentError(f"row {row} has label {labels[row]} {reason}")
+        self.labels = labels.astype(np.int64, copy=False)
 
     @property
     def num_samples(self) -> int:

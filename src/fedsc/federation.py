@@ -14,7 +14,7 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -48,10 +48,6 @@ from .prototypes import (
 _TAG_INIT = 11
 _TAG_SAMPLE = 22
 _TAG_CLIENT = 33
-
-CSV_HEADER = ["round", "accuracy", "loss_total", "loss_ce", "loss_rpcl",
-              "loss_cpdr", "wall_ms"]
-
 
 @dataclass
 class FederationConfig:
@@ -119,6 +115,9 @@ class RoundMetrics:
     loss_rpcl: float
     loss_cpdr: float
     wall_ms: float
+
+
+CSV_HEADER = [f.name for f in fields(RoundMetrics)]
 
 
 @dataclass
@@ -328,11 +327,7 @@ def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for m in metrics:
-            writer.writerow([
-                m.round,
-                f"{m.accuracy:.6f}", f"{m.loss_total:.6f}", f"{m.loss_ce:.6f}",
-                f"{m.loss_rpcl:.6f}", f"{m.loss_cpdr:.6f}", f"{m.wall_ms:.6f}",
-            ])
+            writer.writerow([m.round, *(f"{v:.6f}" for v in astuple(m)[1:])])
 
 
 def read_metrics_csv(path) -> list[RoundMetrics]:

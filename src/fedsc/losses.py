@@ -300,10 +300,10 @@ def ce_loss_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]
 
 
 def _rpcl_batch(
-    z: np.ndarray, labels: np.ndarray, prepared: _RpclPrototypes
+    z: np.ndarray, idx: np.ndarray, prepared: _RpclPrototypes
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized RPCL over a batch; samples without a valid positive or
-    negative contribute zero."""
+    """Vectorized RPCL over a batch with 0-based class indices ``idx``;
+    samples without a valid positive or negative contribute zero."""
     r_scaled = prepared.r_scaled
     if r_scaled.shape[0] == 0:
         return np.zeros(len(z)), np.zeros_like(z)
@@ -313,7 +313,6 @@ def _rpcl_batch(
     z_hat = z / zn[:, None]
     s = z_hat @ r_scaled.T                      # (n, P): cos / (u tau)
 
-    idx = labels - 1
     pos = prepared.positive[idx]                # (n, P)
     active = prepared.contrasted[idx]
 
@@ -331,10 +330,10 @@ def _rpcl_batch(
 
 
 def _cpdr_batch(
-    z: np.ndarray, labels: np.ndarray, consistent: ConsistentSet, norm: str
+    z: np.ndarray, idx: np.ndarray, consistent: ConsistentSet, norm: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized CPDR; samples of classes without a prototype contribute zero."""
-    idx = labels - 1
+    """Vectorized CPDR with 0-based class indices ``idx``; samples of classes
+    without a prototype contribute zero."""
     active = consistent.present[idx]
     diff = z - consistent.o[idx]
     if norm == "sq":
@@ -348,8 +347,8 @@ def _cpdr_batch(
     return losses * active, grad * active[:, None]
 
 
-def _ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows, idx = np.arange(len(labels)), labels - 1
+def _ce_batch(logits: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.arange(len(idx))
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     losses = lse - shifted[rows, idx]
@@ -384,7 +383,8 @@ def total_loss(
     _check_prototype_shapes(num_classes, params.feature_dim, relational,
                             consistent, context)
 
-    ce_losses, ce_grad = _ce_batch(logits, labels)
+    idx = labels - 1
+    ce_losses, ce_grad = _ce_batch(logits, idx)
     ce = float(ce_losses.mean())
     rpcl = cpdr = 0.0
     grad_z = None
@@ -392,10 +392,10 @@ def total_loss(
         prepared = context.prepared
         if prepared is None or prepared.relational is not relational:
             prepared = _prepare_rpcl(relational, context)
-        rpcl_losses, grad_z = _rpcl_batch(batch.z, labels, prepared)
+        rpcl_losses, grad_z = _rpcl_batch(batch.z, idx, prepared)
         rpcl = float(rpcl_losses.mean())
     if consistent is not None:
-        cpdr_losses, cpdr_grad = _cpdr_batch(batch.z, labels, consistent, cpdr_norm)
+        cpdr_losses, cpdr_grad = _cpdr_batch(batch.z, idx, consistent, cpdr_norm)
         cpdr = float(cpdr_losses.mean())
         if grad_z is None:
             grad_z = cpdr_grad

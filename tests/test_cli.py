@@ -238,31 +238,35 @@ class TestConfigLayering:
             cfg.write_text(f"[partition]\n{key}\n")
             assert tiny_generate(tmp_path, ("--config", str(cfg))) == 2
 
-    def test_negative_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
         assert tiny_generate(tmp_path, ("--seed", "-1")) == 2
         assert tiny_run(tmp_path, ("--seed", "-1")) == 2
-        monkeypatch.setenv("FEDSC_SEED", "-3")
-        assert tiny_generate(tmp_path) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["fedsc: invalid-config: seed must be >= 0"] * 3
+        assert err == ["fedsc: invalid-config: seed must be >= 0"] * 2
 
     def test_zero_layer_size_rejected_before_reading(self, tmp_path):
         # the dataset directory does not exist: reading it would exit 3
         for flag in ("--hidden-dim", "--feature-dim"):
             assert tiny_run(tmp_path / "nowhere", (flag, "0")) == 2
 
-    def test_env_seed_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDSC_SEED", "99")
-        tiny_generate(tmp_path)
-        tiny_run(tmp_path)
-        meta = parse_kv((tmp_path / "meta_fedsc.txt").read_text())
-        assert meta["seed"] == "99"
+    def test_environment_does_not_set_the_seed(self, tmp_path, monkeypatch):
+        def generate_and_run(out):
+            assert tiny_generate(out) == 0
+            assert tiny_run(out) == 0
+            # every metrics column but the measured wall_ms
+            rows = [row.rsplit(",", 1)[0] for row in
+                    (out / "metrics_fedsc.csv").read_text().splitlines()]
+            return rows, (out / "meta_fedsc.txt").read_bytes()
 
-    def test_unknown_preset_and_bad_env(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FEDSC_SEED", raising=False)
+        plain = generate_and_run(tmp_path / "plain")
+        monkeypatch.setenv("FEDSC_SEED", "99")
+        assert generate_and_run(tmp_path / "env") == plain
+        assert parse_kv(plain[1].decode())["seed"] == "7"
+
+    def test_unknown_preset(self, tmp_path):
         assert run_cli("generate", "--preset", "lab",
                        "--out", str(tmp_path)) == 2
-        monkeypatch.setenv("FEDSC_SEED", "not-a-number")
-        assert tiny_generate(tmp_path) == 2
 
     def test_unknown_section_and_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -308,8 +312,7 @@ class TestConfigLayering:
         cfg.write_text("[federation]\nrounds = soon\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
-    def test_empty_command_line_resolves_to_library_defaults(self, monkeypatch):
-        monkeypatch.delenv("FEDSC_SEED", raising=False)
+    def test_empty_command_line_resolves_to_library_defaults(self):
         for command in ("generate", "run"):
             args = _build_parser().parse_args([command])
             cfg, partition, federation = _resolve_run_config(args)

@@ -59,6 +59,21 @@ class TestDataset:
         with pytest.raises(InvalidArgumentError, match=r"^row 4 has label 0 outside 1\.\.3$"):
             Dataset(np.zeros((7, 2)), labels, 3)
 
+    def test_non_integral_labels_rejected_not_truncated(self):
+        features = [[0.0, 1.0], [2.0, 3.0]]
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^row 0 has label 1\.7 that is not an integer$"):
+            Dataset(features, [1.7, 2.2], 3)
+        with pytest.raises(InvalidArgumentError, match=r"^row 1 has label nan "):
+            Dataset(features, [2.0, np.nan], 3)
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(InvalidArgumentError, match=r"^row 1 has label -?inf "):
+                Dataset(features, [1.0, bad], 3)
+        with pytest.raises(InvalidArgumentError, match=r"^row 0 has label 1\.5 "):
+            ClientDataset(1, features, [1.5, 2.0], 3)
+        ds = Dataset(features, [2.0, 3.0], 3)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 3]
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Dataset([[0.0, 0.0]], [1, 2], 2)

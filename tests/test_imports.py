@@ -10,7 +10,6 @@ MODULES = sorted(
     p
     for pattern in ("src/fedsc/*.py", "demos/*.py", "tools/*.py")
     for p in ROOT.glob(pattern)
-    if p.name != "__init__.py"
 )
 
 

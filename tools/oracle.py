@@ -18,7 +18,7 @@ Digests live in ``oracle.json`` and weights in ``oracle_weights.npz`` next
 to this script.  The exit code is 1 when a metrics, meta or data artifact
 differs; a weights difference is reported but not fatal, because a
 refactor may change float summation order in the last bits.  BLAS runs on
-one thread, and ``FEDSC_SEED`` is cleared so every seed is the one given.
+one thread.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("FEDSC_SEED", None)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
