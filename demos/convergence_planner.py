@@ -16,7 +16,6 @@ import numpy as np
 from fedsc.theory import (
     TheoryConstants,
     TraceRecord,
-    TrainingTrace,
     estimate_constants,
     theorem1_bound,
     theorem2_eta_threshold,
@@ -89,7 +88,7 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     records = quadratic_trace(rng, steps=40, dim=8, curvature=1.7, noise=0.3)
-    est = estimate_constants(TrainingTrace(records))
+    est = estimate_constants(records)
     print("\nconstants estimated from a 40-step quadratic trace "
           "(true curvature 1.7, noise sd 0.3 per coordinate)")
     print(f"  L1 estimate:      {est.l1:.3f}")

@@ -178,9 +178,8 @@ def cmd_generate(cfg: RunConfig, seed: int) -> int:
     print(f"wrote {out / 'train.fsd'} ({train.num_samples} samples)")
     print(f"wrote {out / 'test.fsd'} ({test.num_samples} samples)")
     print("class train_count test_count")
-    train_counts, test_counts = train.class_counts(), test.class_counts()
     for j in range(cfg.num_classes):
-        print(f"{j + 1} {train_counts[j]} {test_counts[j]}")
+        print(f"{j + 1} {train.class_counts[j]} {test.class_counts[j]}")
     return 0
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .errors import (
     InvalidArgumentError,
     MalformedHeaderError,
     TruncatedFileError,
+    check_int_fields,
 )
 
 _MAGIC = b"FSD1"
@@ -37,6 +39,7 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        check_int_fields(self)
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
         labels = np.ascontiguousarray(self.labels)
         if self.features.ndim != 2:
@@ -68,6 +71,7 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
     def class_counts(self) -> np.ndarray:
         """Per-class sample counts; entry j counts label j + 1."""
         return np.bincount(self.labels - 1, minlength=self.num_classes)
@@ -78,27 +82,22 @@ class Dataset:
 
 
 @dataclass
-class ClientDataset:
+class ClientDataset(Dataset):
     """One client's local shard. Clients are 1-based, never empty."""
 
-    client_id: int
-    features: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-    class_counts: np.ndarray = field(init=False)
+    client_id: int = field(kw_only=True)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.client_id < 1:
             raise InvalidArgumentError("client_id must be >= 1")
-        ds = Dataset(self.features, self.labels, self.num_classes)
-        self.features, self.labels = ds.features, ds.labels
-        if self.features.shape[0] < 1:
+        if self.num_samples < 1:
             raise InvalidArgumentError(f"client {self.client_id} has no samples")
-        self.class_counts = ds.class_counts()
 
     @property
     def total(self) -> int:
-        return self.features.shape[0]
+        """Alias of ``num_samples``, which ``perfbench`` reads."""
+        return self.num_samples
 
 
 @dataclass
@@ -115,6 +114,7 @@ class PartitionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.scheme not in ("dirichlet", "biased"):
             raise InvalidArgumentError(f"unknown partition scheme '{self.scheme}'")
         if self.num_clients < 2:
@@ -215,9 +215,9 @@ def _clients_of(
     dataset: Dataset, owner: np.ndarray, num_clients: int
 ) -> list[ClientDataset]:
     """Client k + 1 holds the samples whose owner is k, in dataset order."""
-    parts = [dataset.subset(owner == k) for k in range(num_clients)]
-    return [ClientDataset(k + 1, p.features, p.labels, p.num_classes)
-            for k, p in enumerate(parts)]
+    masks = [owner == k for k in range(num_clients)]
+    return [ClientDataset(dataset.features[m], dataset.labels[m], dataset.num_classes,
+                          client_id=k + 1) for k, m in enumerate(masks)]
 
 
 def partition_dirichlet(
@@ -315,7 +315,7 @@ def apply_long_tail(dataset: Dataset, rho: float, seed: int = 0) -> Dataset:
     random; surviving samples keep their original order, so rho = 1 is the
     identity.
     """
-    counts = dataset.class_counts()
+    counts = dataset.class_counts
     if counts.size < 2:
         raise InvalidArgumentError("long-tail thinning needs >= 2 classes")
     if not (counts == counts[0]).all():

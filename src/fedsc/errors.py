@@ -1,10 +1,13 @@
-"""Named error types shared across the package.
+"""Named error types shared across the package, one class per failure kind.
 
 Every error carries a stable kebab-case ``code`` so the CLI can report
 failures in a machine-greppable form (``fedsc: <code>: message``).
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
+from numbers import Integral
 
 
 class FedscError(Exception):
@@ -21,10 +24,6 @@ class DimensionMismatchError(FedscError, ValueError):
     code = "dimension-mismatch"
 
 
-class ShapeMismatchError(FedscError, ValueError):
-    code = "shape-mismatch"
-
-
 class MalformedHeaderError(FedscError, ValueError):
     code = "malformed-header"
 
@@ -39,14 +38,6 @@ class NonfiniteGradientError(FedscError, FloatingPointError):
 
 class DegeneratePrototypeError(FedscError, ValueError):
     code = "degenerate-prototype"
-
-
-class EmptyClientError(FedscError, ValueError):
-    code = "empty-client"
-
-
-class EmptyFeatureSetError(FedscError, ValueError):
-    code = "empty-feature-set"
 
 
 class DegenerateVectorError(FedscError, ValueError):
@@ -91,3 +82,12 @@ class InvalidConfigError(FedscError, ValueError):
 
 class MalformedCsvError(FedscError, ValueError):
     code = "malformed-csv"
+
+
+def check_int_fields(obj) -> None:
+    """Reject an ``int``-annotated dataclass field that holds anything but a
+    Python or numpy integer (``3.0``, ``"3"`` and ``True`` included)."""
+    for name in (f.name for f in fields(obj) if f.type == "int"):
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")

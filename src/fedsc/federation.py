@@ -24,6 +24,7 @@ from .errors import (
     EmptyDatasetError,
     InvalidArgumentError,
     MalformedCsvError,
+    check_int_fields,
 )
 from .losses import CPDR_NORMS, DEFAULT_CPDR_NORM, compute_normalizers, total_loss
 from .model import (
@@ -68,6 +69,7 @@ class FederationConfig:
     threads: int = 1
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.rounds < 1:
             raise InvalidArgumentError("rounds must be >= 1")
         if self.num_clients < 1:
@@ -177,7 +179,7 @@ def run_client(
         if relational is not None:
             snapshot = forward_features(params, x).z
             context = compute_normalizers(snapshot, relational, config.temperature)
-        for idx in _minibatches(dataset.total, config.optimizer.batch_size, rng):
+        for idx in _minibatches(dataset.num_samples, config.optimizer.batch_size, rng):
             fb = forward_features(params, x[idx], y[idx])
             breakdown = total_loss(fb, relational, consistent, context, params,
                                    cpdr_norm=config.cpdr_norm)
@@ -253,7 +255,7 @@ def run_round(
         updates = [train(c) for c in chosen]
 
     state.params = aggregate_models(
-        [(u.params, c.total) for u, c in zip(updates, chosen)])
+        [(u.params, c.num_samples) for u, c in zip(updates, chosen)])
     for update, client in zip(updates, chosen):
         state.latest_prototypes[client.client_id] = update.prototypes
     # built for fedavg too: perfbench's loss probe reads a fedavg state.relational

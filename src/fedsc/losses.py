@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (
     DegenerateVectorError,
     DimensionMismatchError,
-    EmptyFeatureSetError,
+    EmptyDatasetError,
     InvalidArgumentError,
     LabelOutOfRangeError,
     NoNegativePrototypeError,
@@ -119,8 +119,10 @@ def compute_normalizers(
     ``InvalidArgumentError`` here, and its ``u`` and ``valid`` are read-only.
     """
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise EmptyFeatureSetError("need a nonempty (n, d) feature matrix")
+    if feats.ndim != 2:
+        raise DimensionMismatchError(f"features of shape {feats.shape} are not (n, d)")
+    if feats.shape[0] == 0:
+        raise EmptyDatasetError("need a nonempty (n, d) feature matrix")
     d = relational.r.shape[2]
     if feats.shape[1] != d:
         raise DimensionMismatchError(

@@ -19,7 +19,7 @@ from .errors import (
     EmptyDatasetError,
     InvalidArgumentError,
     NonfiniteGradientError,
-    ShapeMismatchError,
+    check_int_fields,
 )
 
 # weight fields in declaration order
@@ -39,7 +39,7 @@ class ModelParams:
         arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2, v, c)]
         w1, b1, w2, b2, v, c = arrays
         if w1.ndim != 2 or w2.ndim != 2 or v.ndim != 2:
-            raise ShapeMismatchError("weight matrices must be 2-d")
+            raise DimensionMismatchError("weight matrices must be 2-d")
         if (
             b1.shape != (w1.shape[1],)
             or w2.shape[0] != w1.shape[1]
@@ -47,7 +47,7 @@ class ModelParams:
             or v.shape[0] != w2.shape[1]
             or c.shape != (v.shape[1],)
         ):
-            raise ShapeMismatchError("inconsistent parameter shapes")
+            raise DimensionMismatchError("inconsistent parameter shapes")
         # (field, its slice of flat, its shape), worked out once per layout
         ends = np.cumsum([a.size for a in arrays]).tolist()
         self._layout = tuple(
@@ -110,6 +110,7 @@ class OptimizerConfig:
     batch_size: int = 64
 
     def __post_init__(self):
+        check_int_fields(self)
         if not 0 <= self.learning_rate < np.inf:
             raise InvalidArgumentError("learning_rate must be finite and >= 0")
         if not 0 <= self.momentum < 1:
@@ -179,10 +180,10 @@ def backward(
     n = batch.z.shape[0]
     gz = np.asarray(grad_z, dtype=np.float64)
     if gz.shape != batch.z.shape:
-        raise ShapeMismatchError(f"grad_z shape {gz.shape} != {batch.z.shape}")
+        raise DimensionMismatchError(f"grad_z shape {gz.shape} != {batch.z.shape}")
     gl = np.asarray(grad_logits, dtype=np.float64)
     if gl.shape != (n, params.num_classes):
-        raise ShapeMismatchError(
+        raise DimensionMismatchError(
             f"grad_logits shape {gl.shape} != {(n, params.num_classes)}"
         )
 

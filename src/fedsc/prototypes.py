@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (
     DegeneratePrototypeError,
     DimensionMismatchError,
-    EmptyClientError,
+    EmptyDatasetError,
     InvalidArgumentError,
 )
 
@@ -205,7 +205,7 @@ def client_discrepancy(class_counts: np.ndarray) -> float | np.ndarray:
     counts = np.asarray(class_counts, dtype=np.float64)
     total = counts.sum(axis=-1, keepdims=True)
     if (total <= 0).any():
-        raise EmptyClientError("client has no samples")
+        raise EmptyDatasetError("client has no samples")
     ratios = counts / total
     uniform = 1.0 / counts.shape[-1]
     return np.sqrt(0.5 * np.sum((ratios - uniform) ** 2, axis=-1))
@@ -224,7 +224,7 @@ def aggregation_weights(
     if n.shape != d.shape or n.ndim != 1 or n.size == 0:
         raise DimensionMismatchError("counts and discrepancies must be equal-length 1-d")
     if (n <= 0).any():
-        raise EmptyClientError("every client must hold at least one sample")
+        raise EmptyDatasetError("every client must hold at least one sample")
     if (d < 0).any():
         raise InvalidArgumentError("discrepancies must be >= 0")
     a = 1.0 / n.sum()

@@ -168,11 +168,6 @@ class TraceRecord:
 
 
 @dataclass
-class TrainingTrace:
-    records: list[TraceRecord]
-
-
-@dataclass
 class EstimatedConstants:
     """Empirical estimates; every value is a lower bound for the true constant."""
 
@@ -182,7 +177,7 @@ class EstimatedConstants:
     l2: float
 
 
-def estimate_constants(trace: TrainingTrace) -> EstimatedConstants:
+def estimate_constants(records: list[TraceRecord]) -> EstimatedConstants:
     """Estimate (B, sigma^2, l1, l2) from a recorded trace.
 
     B is the largest observed gradient norm, sigma^2 the largest observed
@@ -191,7 +186,6 @@ def estimate_constants(trace: TrainingTrace) -> EstimatedConstants:
     between snapshot pairs.  All are lower bounds: unobserved regions can
     only be worse.
     """
-    records = trace.records
     if len(records) < 2:
         raise InsufficientTraceError("need at least two trace records")
 

@@ -47,8 +47,8 @@ class TestGenerate:
         assert tiny_generate(tmp_path) == 0
         train = load_dataset(tmp_path / "train.fsd")
         test = load_dataset(tmp_path / "test.fsd")
-        assert train.class_counts().tolist() == [22, 22, 22]
-        assert test.class_counts().tolist() == [2, 2, 2]
+        assert train.class_counts.tolist() == [22, 22, 22]
+        assert test.class_counts.tolist() == [2, 2, 2]
         lines = capsys.readouterr().out.splitlines()
         assert "class train_count test_count" in lines
         assert lines[-3:] == ["1 22 2", "2 22 2", "3 22 2"]
@@ -58,8 +58,8 @@ class TestGenerate:
         train = load_dataset(tmp_path / "train.fsd")
         test = load_dataset(tmp_path / "test.fsd")
         expected = long_tail_profile(22, 3, 4.0)
-        assert train.class_counts().tolist() == expected.tolist()
-        assert test.class_counts().tolist() == [2, 2, 2]
+        assert train.class_counts.tolist() == expected.tolist()
+        assert test.class_counts.tolist() == [2, 2, 2]
 
     def test_deterministic_outputs(self, tmp_path):
         tiny_generate(tmp_path / "a")
@@ -225,7 +225,7 @@ class TestConfigLayering:
             del args[idx : idx + 2]
         assert run_cli("generate", *args, "--config", str(cfg)) == 0
         train = load_dataset(tmp_path / "train.fsd")
-        assert train.class_counts().tolist() == [27, 27, 27]
+        assert train.class_counts.tolist() == [27, 27, 27]
 
     def test_rho_is_a_data_key(self, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -40,7 +40,7 @@ class TestDataset:
         assert ds.features.dtype == np.float32
         assert ds.labels.dtype == np.int64
         assert ds.num_samples == 3 and ds.dim == 2
-        assert ds.class_counts().tolist() == [1, 2, 0]
+        assert ds.class_counts.tolist() == [1, 2, 0]
 
     def test_subset_keeps_rows(self):
         ds = small_blobs()
@@ -70,7 +70,7 @@ class TestDataset:
             with pytest.raises(InvalidArgumentError, match=r"^row 1 has label -?inf "):
                 Dataset(features, [1.0, bad], 3)
         with pytest.raises(InvalidArgumentError, match=r"^row 0 has label 1\.5 "):
-            ClientDataset(1, features, [1.5, 2.0], 3)
+            ClientDataset(features, [1.5, 2.0], 3, client_id=1)
         ds = Dataset(features, [2.0, 3.0], 3)
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 3]
 
@@ -81,22 +81,22 @@ class TestDataset:
 
 class TestClientDataset:
     def test_counts_and_ids(self):
-        client = ClientDataset(3, [[0.0, 1.0], [2.0, 3.0]], [2, 2], 4)
+        client = ClientDataset([[0.0, 1.0], [2.0, 3.0]], [2, 2], 4, client_id=3)
         assert client.total == 2
         assert client.class_counts.tolist() == [0, 2, 0, 0]
 
     def test_rejects_empty_and_bad_id(self):
         with pytest.raises(InvalidArgumentError):
-            ClientDataset(0, [[0.0, 1.0]], [1], 2)
+            ClientDataset([[0.0, 1.0]], [1], 2, client_id=0)
         with pytest.raises(InvalidArgumentError):
-            ClientDataset(1, np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
+            ClientDataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2, client_id=1)
 
 
 class TestGenerateGaussianBlobs:
     def test_shapes_and_labels(self):
         ds = generate_gaussian_blobs(5, 12, 7, 4.0, seed=3)
         assert ds.features.shape == (60, 7)
-        assert ds.class_counts().tolist() == [12] * 5
+        assert ds.class_counts.tolist() == [12] * 5
         assert ds.labels.min() == 1 and ds.labels.max() == 5
 
     def test_deterministic_in_seed(self):
@@ -141,8 +141,8 @@ class TestSplitHoldout:
     def test_per_class_fraction(self):
         ds = small_blobs(per_class=30)
         train, held = split_holdout(ds, 0.1, seed=0)
-        assert held.class_counts().tolist() == [3, 3, 3, 3]
-        assert train.class_counts().tolist() == [27, 27, 27, 27]
+        assert held.class_counts.tolist() == [3, 3, 3, 3]
+        assert train.class_counts.tolist() == [27, 27, 27, 27]
 
     def test_partition_is_exact(self):
         ds = small_blobs()
@@ -157,12 +157,12 @@ class TestSplitHoldout:
     def test_holds_out_at_least_one(self):
         ds = small_blobs(per_class=2)
         train, held = split_holdout(ds, 0.01, seed=0)
-        assert (held.class_counts() >= 1).all()
+        assert (held.class_counts >= 1).all()
 
     def test_half_split_is_even(self):
         ds = small_blobs(per_class=30)
         train, held = split_holdout(ds, 0.5, seed=2)
-        assert train.class_counts().tolist() == held.class_counts().tolist()
+        assert train.class_counts.tolist() == held.class_counts.tolist()
 
     def test_validation(self):
         ds = small_blobs(per_class=1)
@@ -200,7 +200,7 @@ class TestPartitionDirichlet:
         assert len(clients) == 5
         assert [c.client_id for c in clients] == [1, 2, 3, 4, 5]
         stacked = np.stack([c.class_counts for c in clients])
-        assert stacked.sum(axis=0).tolist() == ds.class_counts().tolist()
+        assert stacked.sum(axis=0).tolist() == ds.class_counts.tolist()
 
     def test_no_client_left_empty(self):
         ds = small_blobs(num_classes=2, per_class=10)
@@ -318,7 +318,7 @@ class TestLongTail:
         ds = small_blobs(num_classes=5, per_class=40)
         thinned = apply_long_tail(ds, 20.0, seed=3)
         expected = long_tail_profile(40, 5, 20.0)
-        assert thinned.class_counts().tolist() == expected.tolist()
+        assert thinned.class_counts.tolist() == expected.tolist()
         # surviving samples keep their original relative order
         sums = thinned.features.sum(axis=1)
         original = ds.features.sum(axis=1)
@@ -350,6 +350,16 @@ class TestPartitionDataset:
         b = partition_dirichlet(ds, 4, 0.3, seed=5)
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.features, cb.features)
+
+    @pytest.mark.parametrize("scheme", ["dirichlet", "biased"])
+    def test_shards_are_datasets_with_label_counts(self, scheme):
+        ds = small_blobs(num_classes=6, per_class=30)
+        config = PartitionConfig(scheme=scheme, num_clients=4, alpha=0.3, seed=2)
+        for c in partition_dataset(ds, config):
+            assert isinstance(c, Dataset)
+            assert c.num_samples == c.total >= 1
+            expected = np.bincount(c.labels - 1, minlength=6)
+            assert c.class_counts.tolist() == expected.tolist()
 
     def test_config_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedsc.data import (
+    ClientDataset,
     Dataset,
     PartitionConfig,
     generate_gaussian_blobs,
@@ -92,6 +93,31 @@ class TestFederationConfig:
         ):
             with pytest.raises(InvalidArgumentError):
                 FederationConfig(**bad)
+
+
+# the int-annotated fields, and keyword arguments that build each owner
+BASE = {
+    FederationConfig: {}, OptimizerConfig: {}, PartitionConfig: {},
+    Dataset: dict(features=[[0.0]], labels=[1], num_classes=3),
+    ClientDataset: dict(features=[[0.0]], labels=[1], num_classes=3, client_id=1),
+}
+INT_FIELDS = [
+    *((FederationConfig, name) for name in ("rounds", "num_clients", "local_epochs",
+                                            "neighbors", "seed", "hidden_dim",
+                                            "feature_dim", "threads")),
+    (OptimizerConfig, "batch_size"), (PartitionConfig, "num_clients"),
+    (PartitionConfig, "seed"), (Dataset, "num_classes"), (ClientDataset, "client_id"),
+]
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("owner,name", INT_FIELDS,
+                             ids=lambda x: getattr(x, "__name__", x))
+    def test_non_integers_rejected_naming_the_field(self, owner, name):
+        for bad in (2.5, 3.0, "3", True):
+            with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
+                owner(**{**BASE[owner], name: bad})
+        owner(**{**BASE[owner], name: np.int64(3)})
 
 
 class TestRunClient:

@@ -8,7 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p
-    for pattern in ("src/fedsc/*.py", "demos/*.py", "tools/*.py")
+    for pattern in ("src/fedsc/*.py", "demos/*.py", "tools/*.py", "tests/*.py")
     for p in ROOT.glob(pattern)
 )
 

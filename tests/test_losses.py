@@ -9,7 +9,7 @@ import pytest
 from fedsc.errors import (
     DegenerateVectorError,
     DimensionMismatchError,
-    EmptyFeatureSetError,
+    EmptyDatasetError,
     InvalidArgumentError,
     LabelOutOfRangeError,
     NoNegativePrototypeError,
@@ -77,8 +77,11 @@ class TestComputeNormalizers:
     def test_validation(self):
         rng = np.random.default_rng(1)
         rel = random_relational(rng, 2, 2, 3)
-        with pytest.raises(EmptyFeatureSetError):
+        with pytest.raises(EmptyDatasetError):
             compute_normalizers(np.empty((0, 3)), rel)
+        for shape in ((3,), (2, 4, 3)):
+            with pytest.raises(DimensionMismatchError):
+                compute_normalizers(np.ones(shape), rel)
         with pytest.raises(DimensionMismatchError):
             compute_normalizers(np.ones((4, 5)), rel)
         for tau in (0.0, float("nan"), float("inf")):

@@ -8,7 +8,6 @@ from fedsc.errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     NonfiniteGradientError,
-    ShapeMismatchError,
 )
 from fedsc.losses import total_loss
 from fedsc.model import (
@@ -160,9 +159,9 @@ class TestBackward:
         batch = tiny_batch(params)
         gz = np.zeros_like(batch.z)
         gl = np.zeros((batch.z.shape[0], params.num_classes))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimensionMismatchError):
             backward(params, batch, np.zeros((1, 1)), gl)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimensionMismatchError):
             backward(params, batch, gz, np.zeros((1, 1)))
 
 
@@ -287,7 +286,7 @@ class TestModelParams:
         assert grads.w2.shape == params.w2.shape
 
     def test_shape_validation(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimensionMismatchError):
             ModelParams(np.zeros((3, 4)), np.zeros(5), np.zeros((4, 2)),
                         np.zeros(2), np.zeros((2, 2)), np.zeros(2))
 

@@ -8,7 +8,7 @@ import pytest
 from fedsc.errors import (
     DegeneratePrototypeError,
     DimensionMismatchError,
-    EmptyClientError,
+    EmptyDatasetError,
     InvalidArgumentError,
 )
 from fedsc.prototypes import (
@@ -249,7 +249,7 @@ class TestClientDiscrepancy:
             assert client_discrepancy(counts) <= limit + 1e-12
 
     def test_empty_client_raises(self):
-        with pytest.raises(EmptyClientError):
+        with pytest.raises(EmptyDatasetError):
             client_discrepancy(np.zeros(3))
 
 
@@ -283,7 +283,7 @@ class TestAggregationWeights:
     def test_validation(self):
         with pytest.raises(DimensionMismatchError):
             aggregation_weights(np.array([1.0]), np.array([0.1, 0.2]))
-        with pytest.raises(EmptyClientError):
+        with pytest.raises(EmptyDatasetError):
             aggregation_weights(np.array([0.0, 1.0]), np.array([0.1, 0.1]))
         with pytest.raises(InvalidArgumentError):
             aggregation_weights(np.array([1.0, 1.0]), np.array([-0.1, 0.1]))

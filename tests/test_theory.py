@@ -14,7 +14,6 @@ from fedsc.errors import (
 from fedsc.theory import (
     TheoryConstants,
     TraceRecord,
-    TrainingTrace,
     estimate_constants,
     theorem1_bound,
     theorem2_eta_threshold,
@@ -249,10 +248,10 @@ def record(weights, grad, minis=(), extractor=None, features=None):
 
 class TestEstimateConstants:
     def test_constant_gradient_trace(self):
-        trace = TrainingTrace([
+        trace = [
             record([0.0, 0.0], [1.0, 0.0], minis=[[1.0, 0.0], [1.0, 0.0]]),
             record([1.0, 0.0], [1.0, 0.0]),
-        ])
+        ]
         est = estimate_constants(trace)
         assert est.sigma_sq == 0.0
         assert est.l1 == 0.0
@@ -262,27 +261,27 @@ class TestEstimateConstants:
         # gradient of 0.5 * a ||w||^2 is a w, so every snapshot pair reports a
         a = 2.5
         points = [np.array([x, -x]) for x in (0.2, 0.7, 1.3)]
-        trace = TrainingTrace([record(w, a * w) for w in points])
+        trace = [record(w, a * w) for w in points]
         est = estimate_constants(trace)
         assert est.l1 == pytest.approx(a, rel=1e-12)
 
     def test_b_is_max_norm_and_grows_with_trace(self):
         r1 = record([0.0], [3.0], minis=[[4.0]])
         r2 = record([1.0], [2.0])
-        est = estimate_constants(TrainingTrace([r1, r2]))
+        est = estimate_constants([r1, r2])
         assert est.b == 4.0
         r3 = record([2.0], [6.0])
-        grown = estimate_constants(TrainingTrace([r1, r2, r3]))
+        grown = estimate_constants([r1, r2, r3])
         assert grown.b >= est.b
         assert grown.b == 6.0
 
     def test_minibatch_variance(self):
         # deviations +/- e around the full gradient give mean ||e||^2
-        trace = TrainingTrace([
+        trace = [
             record([0.0, 0.0], [1.0, 1.0],
                    minis=[[1.0, 2.0], [1.0, 0.0]]),
             record([1.0, 1.0], [1.0, 1.0]),
-        ])
+        ]
         est = estimate_constants(trace)
         assert est.sigma_sq == pytest.approx(1.0, abs=1e-12)
 
@@ -290,22 +289,22 @@ class TestEstimateConstants:
         # features move 3x as fast as the extractor weights
         r1 = record([0.0], [1.0], extractor=[0.0], features=[[0.0, 0.0]])
         r2 = record([1.0], [1.0], extractor=[2.0], features=[[6.0, 0.0]])
-        est = estimate_constants(TrainingTrace([r1, r2]))
+        est = estimate_constants([r1, r2])
         assert est.l2 == pytest.approx(3.0, rel=1e-12)
 
     def test_lower_bound_never_exceeds_truth_on_quadratic(self):
         a = 1.75
         rng = np.random.default_rng(6)
         points = [rng.standard_normal(3) for _ in range(6)]
-        trace = TrainingTrace([record(w, a * w) for w in points])
+        trace = [record(w, a * w) for w in points]
         est = estimate_constants(trace)
         assert est.l1 <= a + 1e-9
 
     def test_insufficient_trace(self):
         with pytest.raises(InsufficientTraceError):
-            estimate_constants(TrainingTrace([record([0.0], [1.0])]))
-        dead = TrainingTrace([
+            estimate_constants([record([0.0], [1.0])])
+        dead = [
             record([0.0], [0.0]), record([1.0], [0.0]),
-        ])
+        ]
         with pytest.raises(InsufficientTraceError):
             estimate_constants(dead)
