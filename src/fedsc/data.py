@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,11 +31,13 @@ class Dataset:
         features: float32 array of shape (num_samples, dim).
         labels: int64 array of 1-based class ids, shape (num_samples,).
         num_classes: number of classes the label space covers.
+        class_counts: per-class sample counts; entry j counts label j + 1.
     """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
+    class_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_int_fields(self)
@@ -62,6 +63,7 @@ class Dataset:
                       else "that is not an integer")
             raise InvalidArgumentError(f"row {row} has label {labels[row]} {reason}")
         self.labels = labels.astype(np.int64, copy=False)
+        self.class_counts = np.bincount(self.labels - 1, minlength=self.num_classes)
 
     @property
     def num_samples(self) -> int:
@@ -70,11 +72,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    @cached_property
-    def class_counts(self) -> np.ndarray:
-        """Per-class sample counts; entry j counts label j + 1."""
-        return np.bincount(self.labels - 1, minlength=self.num_classes)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """The rows picked by an index array or a boolean mask, in that order."""

@@ -87,7 +87,7 @@ class MalformedCsvError(FedscError, ValueError):
 def check_int_fields(obj) -> None:
     """Reject an ``int``-annotated dataclass field that holds anything but a
     Python or numpy integer (``3.0``, ``"3"`` and ``True`` included)."""
-    for name in (f.name for f in fields(obj) if f.type == "int"):
+    for name in (f.name for f in fields(obj) if f.type in ("int", int)):
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")

@@ -1,5 +1,7 @@
 """Federated rounds: client training, aggregation, determinism, metrics IO."""
 
+from dataclasses import make_dataclass
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from fedsc.errors import (
     EmptyDatasetError,
     InvalidArgumentError,
     MalformedCsvError,
+    check_int_fields,
 )
 from fedsc.federation import (
     CSV_HEADER,
@@ -118,6 +121,13 @@ class TestIntegerFields:
             with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
                 owner(**{**BASE[owner], name: bad})
         owner(**{**BASE[owner], name: np.int64(3)})
+
+    def test_runtime_int_annotation_checked(self):
+        # without postponed annotations a field's type is the int class itself
+        owner = make_dataclass("Owner", [("count", int)])
+        with pytest.raises(InvalidArgumentError, match="^count must be an integer"):
+            check_int_fields(owner(2.5))
+        check_int_fields(owner(3))
 
 
 class TestRunClient:
