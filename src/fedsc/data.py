@@ -16,6 +16,7 @@ from .errors import (
     InvalidArgumentError,
     MalformedHeaderError,
     TruncatedFileError,
+    check_int,
     check_int_fields,
 )
 
@@ -141,6 +142,9 @@ def generate_gaussian_blobs(
         separation: minimum pairwise distance between class means.
         seed: RNG seed; output is a pure function of the arguments.
     """
+    check_int("num_classes", num_classes)
+    check_int("per_class_count", per_class_count)
+    check_int("dim", dim)
     if num_classes < 2:
         raise InvalidArgumentError("num_classes must be >= 2")
     if per_class_count < 1:
@@ -208,36 +212,18 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def _clients_of(
-    dataset: Dataset, owner: np.ndarray, num_clients: int
-) -> list[ClientDataset]:
-    """Client k + 1 holds the samples whose owner is k, in dataset order."""
-    masks = [owner == k for k in range(num_clients)]
-    return [ClientDataset(dataset.features[m], dataset.labels[m], dataset.num_classes,
-                          client_id=k + 1) for k, m in enumerate(masks)]
-
-
-def partition_dirichlet(
-    dataset: Dataset, num_clients: int, alpha: float, seed: int = 0
-) -> list[ClientDataset]:
-    """Split a dataset across clients with Dirichlet(alpha) class proportions.
-
-    Per class, client shares are drawn from Dirichlet(alpha * 1_K) and turned
-    into integer counts by largest-remainder rounding.  Each client left
-    empty by rounding then receives one sample from the largest client: the
-    last sample, in its class's shuffle, of that client's largest class
-    share.  So every client ends with at least one sample.
+def _dirichlet_owner(
+    dataset: Dataset, num_clients: int, alpha: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Per class, client shares drawn from Dirichlet(alpha * 1_K), turned into
+    integer counts by largest-remainder rounding.  Each client left empty by
+    rounding then receives one sample from the largest client: the last
+    sample, in its class's shuffle, of that client's largest class share.
     """
-    if num_clients < 1:
-        raise InvalidArgumentError("num_clients must be >= 1")
-    if not 0 < alpha < np.inf:
-        raise InvalidArgumentError("alpha must be finite and > 0")
     if num_clients > dataset.num_samples:
         raise InvalidArgumentError(
             f"cannot split {dataset.num_samples} samples across {num_clients} clients"
         )
-
-    rng = np.random.default_rng(seed)
     perms = []
     counts = np.zeros((num_clients, dataset.num_classes), dtype=np.int64)
     for j in range(dataset.num_classes):
@@ -258,29 +244,19 @@ def partition_dirichlet(
         owner[perms[j][stops[donor, j]]] = empty
         counts[donor, j] -= 1
         counts[empty, j] += 1
-    return _clients_of(dataset, owner, num_clients)
+    return owner
 
 
-def partition_biased(
-    dataset: Dataset,
-    num_clients: int,
-    seed: int = 0,
-) -> list[ClientDataset]:
-    """Block-biased split: K-1 clients own disjoint class blocks, one sees all.
-
-    Client K first receives a tenth of every class (rounded down, at least
-    one sample per class); the remaining samples of each class block go to the
-    block's owner.  Requires num_classes divisible by num_clients - 1.
-    """
-    if num_clients < 2:
-        raise InvalidArgumentError("num_clients must be >= 2")
+def _biased_owner(
+    dataset: Dataset, num_clients: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Client K first receives a tenth of every class (rounded down, at least
+    one sample per class); the rest of each class block goes to its owner."""
     if dataset.num_classes % (num_clients - 1) != 0:
         raise InvalidArgumentError(
             f"{dataset.num_classes} classes do not split evenly across "
             f"{num_clients - 1} biased clients"
         )
-
-    rng = np.random.default_rng(seed)
     block = dataset.num_classes // (num_clients - 1)
     owner = np.empty(dataset.num_samples, dtype=np.int64)
     for j in range(dataset.num_classes):
@@ -292,17 +268,26 @@ def partition_biased(
         take = max(1, int(np.floor(0.1 * idx.size)))
         owner[idx[:take]] = num_clients - 1
         owner[idx[take:]] = j // block
-    return _clients_of(dataset, owner, num_clients)
+    return owner
 
 
-def long_tail_profile(n_max: int, num_classes: int, rho: float) -> np.ndarray:
-    """Kept-per-class counts floor(n_max * rho^(-j / (num_classes - 1)))."""
-    if not 1 <= rho < np.inf:
-        raise InvalidArgumentError("rho must be finite and >= 1")
-    if num_classes < 2:
-        raise InvalidArgumentError("num_classes must be >= 2")
-    j = np.arange(num_classes)
-    return np.floor(n_max * rho ** (-j / (num_classes - 1))).astype(np.int64)
+def partition_dataset(dataset: Dataset, config: PartitionConfig) -> list[ClientDataset]:
+    """Split a dataset across ``config.num_clients`` clients.
+
+    ``dirichlet`` draws each class's client shares from Dirichlet(alpha) and
+    leaves no client empty.  ``biased`` gives K - 1 clients disjoint class
+    blocks and one client a tenth of every class; it needs num_classes
+    divisible by K - 1.  Client k + 1 holds the samples marked k in one
+    owner vector, in dataset order.
+    """
+    rng = np.random.default_rng(config.seed)
+    if config.scheme == "dirichlet":
+        owner = _dirichlet_owner(dataset, config.num_clients, config.alpha, rng)
+    else:
+        owner = _biased_owner(dataset, config.num_clients, rng)
+    masks = owner == np.arange(config.num_clients)[:, None]  # row k: client k + 1
+    return [ClientDataset(dataset.features[m], dataset.labels[m], dataset.num_classes,
+                          client_id=k + 1) for k, m in enumerate(masks)]
 
 
 def apply_long_tail(dataset: Dataset, rho: float, seed: int = 0) -> Dataset:
@@ -312,6 +297,8 @@ def apply_long_tail(dataset: Dataset, rho: float, seed: int = 0) -> Dataset:
     random; surviving samples keep their original order, so rho = 1 is the
     identity.
     """
+    if not 1 <= rho < np.inf:
+        raise InvalidArgumentError("rho must be finite and >= 1")
     counts = dataset.class_counts
     if counts.size < 2:
         raise InvalidArgumentError("long-tail thinning needs >= 2 classes")
@@ -319,7 +306,8 @@ def apply_long_tail(dataset: Dataset, rho: float, seed: int = 0) -> Dataset:
         raise InvalidArgumentError(
             "long-tail thinning expects a class-balanced dataset"
         )
-    keep = long_tail_profile(int(counts[0]), dataset.num_classes, rho)
+    j = np.arange(counts.size)
+    keep = np.floor(int(counts[0]) * rho ** (-j / (counts.size - 1))).astype(np.int64)
     if keep[-1] < 1:
         raise InvalidArgumentError(
             f"rho={rho} empties the rarest class ({counts[0]} per class)"
@@ -330,13 +318,6 @@ def apply_long_tail(dataset: Dataset, rho: float, seed: int = 0) -> Dataset:
         idx = np.flatnonzero(dataset.labels == j + 1)
         kept[rng.choice(idx, size=keep[j], replace=False)] = True
     return dataset.subset(kept)
-
-
-def partition_dataset(dataset: Dataset, config: PartitionConfig) -> list[ClientDataset]:
-    """Apply a PartitionConfig."""
-    if config.scheme == "dirichlet":
-        return partition_dirichlet(dataset, config.num_clients, config.alpha, config.seed)
-    return partition_biased(dataset, config.num_clients, config.seed)
 
 
 def save_dataset(path, dataset: Dataset) -> None:

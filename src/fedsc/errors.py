@@ -84,10 +84,15 @@ class MalformedCsvError(FedscError, ValueError):
     code = "malformed-csv"
 
 
+def check_int(name: str, value) -> None:
+    """Reject anything but a Python or numpy integer (``3.0``, ``"3"`` and
+    ``True`` included), naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+
+
 def check_int_fields(obj) -> None:
-    """Reject an ``int``-annotated dataclass field that holds anything but a
-    Python or numpy integer (``3.0``, ``"3"`` and ``True`` included)."""
-    for name in (f.name for f in fields(obj) if f.type in ("int", int)):
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    """Apply :func:`check_int` to every ``int``-annotated dataclass field."""
+    for f in fields(obj):
+        if f.type in ("int", int):
+            check_int(f.name, getattr(obj, f.name))

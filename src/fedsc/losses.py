@@ -14,10 +14,10 @@ keeps the term on the scale of CE and RPCL at any feature width.  The
 summed L1 distance (``"l1"``) remains as an ablation; its unit-scale
 gradient jumps at the prototype.
 
-Per-sample functions are the readable reference; ``total_loss`` runs a
-vectorized batch path that the tests pin against them.  The batch RPCL folds
-``1 / (u tau)`` into the prototypes, so its scores and gradient may differ
-from the reference in the last bits.
+The per-sample CE and RPCL functions are the readable reference;
+``total_loss`` runs a vectorized batch path that the tests pin against
+them.  The batch RPCL folds ``1 / (u tau)`` into the prototypes, so its
+scores and gradient may differ from the reference in the last bits.
 
 Everything in RPCL that depends only on the relational set and the
 normalizers is prepared once per epoch, by ``compute_normalizers``: the
@@ -37,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DegeneratePrototypeError,
     DegenerateVectorError,
     DimensionMismatchError,
     EmptyDatasetError,
@@ -63,12 +64,13 @@ class _RpclPrototypes(NamedTuple):
     contrasted: np.ndarray     # (C,) bool: class j has a positive and a negative
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimilarityContext:
     """Per-prototype distance normalizers U[j, k] plus the temperature.
 
     ``prepared`` holds the per-epoch RPCL arrays that ``compute_normalizers``
-    builds; a context built by hand leaves it ``None``.
+    builds; a context built by hand leaves it ``None``.  Frozen, so a
+    computed context cannot change under its prepared arrays.
     """
 
     u: np.ndarray      # (num_classes, num_clients)
@@ -115,7 +117,7 @@ def compute_normalizers(
 
     The returned context is the epoch's snapshot: it also carries the RPCL
     prototypes prepared from ``relational``, so a zero-norm valid prototype
-    raises ``DegenerateVectorError`` and a valid cell with ``u <= 0`` raises
+    raises ``DegeneratePrototypeError`` and a valid cell with ``u <= 0`` raises
     ``InvalidArgumentError`` here, and its ``u`` and ``valid`` are read-only.
     """
     feats = np.asarray(features, dtype=np.float64)
@@ -128,7 +130,7 @@ def compute_normalizers(
         raise DimensionMismatchError(
             f"features dim {feats.shape[1]} != prototype dim {d}"
         )
-    valid = relational.valid.copy()
+    valid = relational.valid
     r = relational.r[valid]
     # ||z - r||^2 = ||z||^2 + ||r||^2 - 2 z.r, clipped against rounding
     sq = np.sum(feats**2, axis=1)[:, None] + np.sum(r**2, axis=1)[None, :]
@@ -137,7 +139,7 @@ def compute_normalizers(
     np.sqrt(sq, out=sq)
     u = np.zeros(valid.shape)
     u[valid] = sq.mean(axis=0)
-    u.flags.writeable = valid.flags.writeable = False
+    u.flags.writeable = False
     context = SimilarityContext(u, valid, tau)
     return replace(context, prepared=_prepare_rpcl(relational, context))
 
@@ -152,7 +154,7 @@ def _prepare_rpcl(
     u = context.u[valid]
     rn = np.linalg.norm(r, axis=1)
     if (rn < _EPS).any():
-        raise DegenerateVectorError("zero-norm relational prototype")
+        raise DegeneratePrototypeError("zero-norm relational prototype")
     if (u <= 0).any():
         raise InvalidArgumentError("normalizer u must be > 0")
     r_scaled = r / (rn * u * context.tau)[:, None]
@@ -192,13 +194,6 @@ def _check_prototype_shapes(
         )
 
 
-def _feature_vector(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionMismatchError(f"features {z.shape} are not one (d,) vector")
-    return z
-
-
 def _check_label(label: int, num_classes: int) -> int:
     if not 1 <= label <= num_classes:
         raise LabelOutOfRangeError(f"label {label} outside 1..{num_classes}")
@@ -217,7 +212,9 @@ def rpcl_loss_and_grad(
     other class's valid prototype.  Returns the loss and its gradient in z,
     holding prototypes and normalizers fixed.
     """
-    z = _feature_vector(z)
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise DimensionMismatchError(f"features {z.shape} are not one (d,) vector")
     num_classes, num_clients, _ = relational.r.shape
     _check_prototype_shapes(num_classes, len(z), relational, None, context)
     j = _check_label(label, num_classes)
@@ -233,7 +230,7 @@ def rpcl_loss_and_grad(
             r = relational.r[q, k]
             rn = np.linalg.norm(r)
             if rn < _EPS:
-                raise DegenerateVectorError("zero-norm relational prototype")
+                raise DegeneratePrototypeError("zero-norm relational prototype")
             u = context.u[q, k]
             if u <= 0:
                 raise InvalidArgumentError("normalizer u must be > 0")
@@ -259,34 +256,6 @@ def rpcl_loss_and_grad(
     for c, g in zip(coef, grads):
         grad += c * g
     return loss, grad
-
-
-def cpdr_loss_and_grad(
-    z: np.ndarray,
-    label: int,
-    consistent: ConsistentSet,
-    norm: str = DEFAULT_CPDR_NORM,
-) -> tuple[float, np.ndarray]:
-    """Distance from features to the class's consistent prototype.
-
-    ``norm="sq"`` (the default) averages the squared coordinate differences
-    over the d feature coordinates, with gradient ``2 (z - o) / d``: smooth,
-    and vanishing at the prototype.  ``norm="l1"`` sums coordinate-wise
-    absolute differences, an ablation whose gradient keeps unit scale and
-    jumps at the prototype.
-    """
-    z = _feature_vector(z)
-    num_classes = consistent.o.shape[0]
-    _check_prototype_shapes(num_classes, len(z), None, consistent, None)
-    j = _check_label(label, num_classes)
-    if not consistent.present[j]:
-        raise NoPositivePrototypeError(f"no consistent prototype for class {label}")
-    diff = z - consistent.o[j]
-    if norm == "sq":
-        return float((diff**2).mean()), 2.0 * diff / diff.shape[0]
-    if norm == "l1":
-        return float(np.abs(diff).sum()), np.sign(diff)
-    raise InvalidArgumentError(f"unknown cpdr norm '{norm}'")
 
 
 def ce_loss_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:

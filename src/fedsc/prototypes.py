@@ -52,9 +52,13 @@ class PrototypeSet:
         self.vectors = np.where(self.present[:, None], self.vectors, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationalSet:
-    """Neighbourhood-averaged prototypes r[j, k]."""
+    """Neighbourhood-averaged prototypes r[j, k].
+
+    A set is a value: it holds read-only copies of the arrays it is given,
+    so the RPCL prototypes prepared from it cannot go stale.
+    """
 
     r: np.ndarray      # (num_classes, num_clients, d)
     valid: np.ndarray  # (num_classes, num_clients) bool
@@ -65,6 +69,11 @@ class RelationalSet:
                 f"relational r {np.shape(self.r)} and valid "
                 f"{np.shape(self.valid)} are not (C, K, d) and (C, K)"
             )
+        r = np.array(self.r, dtype=np.float64)
+        valid = np.array(self.valid, dtype=bool)
+        r.flags.writeable = valid.flags.writeable = False
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "valid", valid)
 
 
 @dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedsc.cli import _SCHEMA, RunConfig, _build_parser, _resolve_run_config, main
-from fedsc.data import PartitionConfig, load_dataset, long_tail_profile, save_dataset
+from fedsc.data import PartitionConfig, load_dataset, save_dataset
 from fedsc.federation import FederationConfig, read_metrics_csv
 from fedsc.model import OptimizerConfig
 from fedsc.theory import (
@@ -57,8 +57,7 @@ class TestGenerate:
         assert tiny_generate(tmp_path, ("--rho", "4.0")) == 0
         train = load_dataset(tmp_path / "train.fsd")
         test = load_dataset(tmp_path / "test.fsd")
-        expected = long_tail_profile(22, 3, 4.0)
-        assert train.class_counts.tolist() == expected.tolist()
+        assert train.class_counts.tolist() == [22, 11, 5]
         assert test.class_counts.tolist() == [2, 2, 2]
 
     def test_deterministic_outputs(self, tmp_path):
@@ -98,7 +97,7 @@ class TestRun:
         meta = parse_kv((tmp_path / "meta_fedsc.txt").read_text())
         assert meta["num_classes"] == "3"
         assert meta["dim"] == "3"
-        assert meta["train_samples"] == str(long_tail_profile(22, 3, 4.0).sum())
+        assert meta["train_samples"] == str(22 + 11 + 5)
         assert meta["test_samples"] == "6"
         assert not {"per_class", "separation", "rho"} & set(meta)
         assert meta["alpha"] == "0.5"

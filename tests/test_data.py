@@ -15,10 +15,7 @@ from fedsc.data import (
     apply_long_tail,
     generate_gaussian_blobs,
     load_dataset,
-    long_tail_profile,
-    partition_biased,
     partition_dataset,
-    partition_dirichlet,
     save_dataset,
     split_holdout,
 )
@@ -32,6 +29,20 @@ from fedsc.errors import (
 
 def small_blobs(seed=0, num_classes=4, per_class=30, dim=3, separation=4.0):
     return generate_gaussian_blobs(num_classes, per_class, dim, separation, seed)
+
+
+def dirichlet(dataset, num_clients, alpha, seed=0):
+    return partition_dataset(dataset, PartitionConfig("dirichlet", num_clients, alpha, seed))
+
+
+def biased(dataset, num_clients, seed=0):
+    return partition_dataset(dataset, PartitionConfig("biased", num_clients, seed=seed))
+
+
+def long_tail_counts(n_max, num_classes, rho):
+    """Kept-per-class counts of thinning balanced blobs of n_max per class."""
+    blobs = small_blobs(num_classes=num_classes, per_class=n_max, dim=2)
+    return apply_long_tail(blobs, rho).class_counts
 
 
 class TestDataset:
@@ -136,6 +147,15 @@ class TestGenerateGaussianBlobs:
             with pytest.raises(InvalidArgumentError):
                 generate_gaussian_blobs(3, 10, 3, separation=separation)
 
+    @pytest.mark.parametrize("args,name", [((3, 10.5, 2), "per_class_count"),
+                                           ((3, 10, 2.0), "dim"),
+                                           ((3.0, 10, 2), "num_classes"),
+                                           ((True, 10, 2), "num_classes")])
+    def test_counts_must_be_integers(self, args, name):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
+            generate_gaussian_blobs(*args)
+        assert generate_gaussian_blobs(np.int64(3), np.int32(4), 2).num_samples == 12
+
 
 class TestSplitHoldout:
     def test_per_class_fraction(self):
@@ -196,7 +216,7 @@ class TestLargestRemainder:
 class TestPartitionDirichlet:
     def test_partition_preserves_counts(self):
         ds = small_blobs(per_class=40)
-        clients = partition_dirichlet(ds, 5, alpha=0.2, seed=0)
+        clients = dirichlet(ds, 5, alpha=0.2, seed=0)
         assert len(clients) == 5
         assert [c.client_id for c in clients] == [1, 2, 3, 4, 5]
         stacked = np.stack([c.class_counts for c in clients])
@@ -205,20 +225,20 @@ class TestPartitionDirichlet:
     def test_no_client_left_empty(self):
         ds = small_blobs(num_classes=2, per_class=10)
         for seed in range(20):
-            clients = partition_dirichlet(ds, 8, alpha=0.05, seed=seed)
+            clients = dirichlet(ds, 8, alpha=0.05, seed=seed)
             assert all(c.total >= 1 for c in clients)
 
     def test_deterministic(self):
         ds = small_blobs()
-        a = partition_dirichlet(ds, 4, 0.2, seed=7)
-        b = partition_dirichlet(ds, 4, 0.2, seed=7)
+        a = dirichlet(ds, 4, 0.2, seed=7)
+        b = dirichlet(ds, 4, 0.2, seed=7)
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.features, cb.features)
 
     def test_alpha_controls_skew(self):
         ds = small_blobs(num_classes=4, per_class=100)
-        skewed = partition_dirichlet(ds, 4, alpha=0.05, seed=0)
-        flat = partition_dirichlet(ds, 4, alpha=100.0, seed=0)
+        skewed = dirichlet(ds, 4, alpha=0.05, seed=0)
+        flat = dirichlet(ds, 4, alpha=100.0, seed=0)
 
         def mean_discrepancy(clients):
             out = []
@@ -231,20 +251,15 @@ class TestPartitionDirichlet:
 
     def test_validation(self):
         ds = small_blobs()
-        with pytest.raises(InvalidArgumentError):
-            partition_dirichlet(ds, 0, 0.2)
-        with pytest.raises(InvalidArgumentError):
-            partition_dirichlet(ds, 3, 0.0)
-        with pytest.raises(InvalidArgumentError):
-            partition_dirichlet(ds, 3, math.nan)
-        with pytest.raises(InvalidArgumentError):
-            partition_dirichlet(ds, ds.num_samples + 1, 0.2)
+        with pytest.raises(InvalidArgumentError,
+                           match="^cannot split 120 samples across 121 clients$"):
+            dirichlet(ds, ds.num_samples + 1, 0.2)
 
 
 class TestPartitionBiased:
     def test_block_structure(self):
         ds = small_blobs(num_classes=6, per_class=30)
-        clients = partition_biased(ds, 4, seed=0)
+        clients = biased(ds, 4, seed=0)
         # clients 1..3 own two classes each, client 4 sees every class
         for k in range(3):
             counts = clients[k].class_counts
@@ -254,7 +269,7 @@ class TestPartitionBiased:
 
     def test_full_client_fraction(self):
         ds = small_blobs(num_classes=6, per_class=30)
-        clients = partition_biased(ds, 4, seed=0)
+        clients = biased(ds, 4, seed=0)
         # floor(0.1 * 30) = 3 samples of every class for the full client
         assert clients[3].class_counts.tolist() == [3] * 6
         stacked = np.stack([c.class_counts for c in clients])
@@ -262,14 +277,14 @@ class TestPartitionBiased:
 
     def test_validation(self):
         ds = small_blobs(num_classes=6, per_class=30)
-        with pytest.raises(InvalidArgumentError):
-            partition_biased(ds, 5, seed=0)  # 6 classes across 4 owners
-        with pytest.raises(InvalidArgumentError):
-            partition_biased(ds, 1, seed=0)
+        with pytest.raises(InvalidArgumentError,
+                           match="^6 classes do not split evenly across 4 biased clients$"):
+            biased(ds, 5, seed=0)
         # blobs are stored class by class: drop all but one sample of class 6
         lone = ds.subset(np.arange(ds.num_samples - 29))
-        with pytest.raises(InvalidArgumentError, match="class 6 needs >= 2 samples"):
-            partition_biased(lone, 4, seed=0)
+        with pytest.raises(InvalidArgumentError,
+                           match="^class 6 needs >= 2 samples for a biased split$"):
+            biased(lone, 4, seed=0)
 
 
 class TestLongTail:
@@ -280,16 +295,16 @@ class TestLongTail:
             math.floor(n_max * rho ** (-j / (num_classes - 1)))
             for j in range(num_classes)
         ]
-        profile = long_tail_profile(n_max, num_classes, rho)
+        profile = long_tail_counts(n_max, num_classes, rho)
         assert profile.tolist() == oracle
         assert profile.tolist() == [500, 299, 179, 107, 64, 38, 23, 13, 8, 5]
 
     def test_profile_monotone_and_ratio(self):
         for rho in (1.0, 2.0, 10.0, 50.0):
-            profile = long_tail_profile(400, 8, rho)
+            profile = long_tail_counts(400, 8, rho)
             assert (np.diff(profile) <= 0).all()
             # head / tail ratio reproduces rho when the tail divides evenly
-        profile = long_tail_profile(500, 10, 10.0)
+        profile = long_tail_counts(500, 10, 10.0)
         assert profile[0] / profile[-1] == 10.0
 
     def test_achieved_ratio_window(self):
@@ -297,16 +312,21 @@ class TestLongTail:
         # stays above a handful of samples; at rho=200 the tail floors from
         # 2.5 down to 2 and the achieved ratio overshoots to 1.25 rho
         for rho in (10.0, 50.0, 100.0):
-            profile = long_tail_profile(500, 10, rho)
+            profile = long_tail_counts(500, 10, rho)
             achieved = profile[0] / profile[-1]
             assert 0.9 * rho <= achieved <= 1.1 * rho
-        profile = long_tail_profile(500, 10, 200.0)
+        profile = long_tail_counts(500, 10, 200.0)
         assert profile[0] / profile[-1] == 250.0
 
     def test_profile_rejects_rho_below_one_or_nonfinite(self):
         for rho in (0.5, math.nan, math.inf):
-            with pytest.raises(InvalidArgumentError):
-                long_tail_profile(10, 3, rho)
+            with pytest.raises(InvalidArgumentError, match="^rho must be finite and >= 1$"):
+                apply_long_tail(small_blobs(num_classes=3, per_class=10), rho)
+
+    def test_needs_two_classes(self):
+        one_class = Dataset(np.zeros((4, 2)), np.ones(4), 1)
+        with pytest.raises(InvalidArgumentError, match="^long-tail thinning needs >= 2 classes$"):
+            apply_long_tail(one_class, 2.0)
 
     def test_apply_identity_at_rho_one(self):
         ds = small_blobs()
@@ -317,8 +337,7 @@ class TestLongTail:
     def test_apply_matches_profile_and_order(self):
         ds = small_blobs(num_classes=5, per_class=40)
         thinned = apply_long_tail(ds, 20.0, seed=3)
-        expected = long_tail_profile(40, 5, 20.0)
-        assert thinned.class_counts.tolist() == expected.tolist()
+        assert thinned.class_counts.tolist() == [40, 18, 8, 4, 2]
         # surviving samples keep their original relative order
         sums = thinned.features.sum(axis=1)
         original = ds.features.sum(axis=1)
@@ -340,16 +359,7 @@ class TestPartitionDataset:
         config = PartitionConfig(scheme="dirichlet", num_clients=3, alpha=0.5, seed=11)
         clients = partition_dataset(ds, config)
         stacked = np.stack([c.class_counts for c in clients])
-        expected = long_tail_profile(40, 5, 8.0)
-        assert stacked.sum(axis=0).tolist() == expected.tolist()
-
-    def test_matches_direct_calls(self):
-        ds = small_blobs(per_class=40)
-        config = PartitionConfig(scheme="dirichlet", num_clients=4, alpha=0.3, seed=5)
-        a = partition_dataset(ds, config)
-        b = partition_dirichlet(ds, 4, 0.3, seed=5)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.features, cb.features)
+        assert stacked.sum(axis=0).tolist() == [40, 23, 14, 8, 5]
 
     @pytest.mark.parametrize("scheme", ["dirichlet", "biased"])
     def test_shards_are_datasets_with_label_counts(self, scheme):
@@ -396,13 +406,13 @@ SPLIT_CASES = {
     "dirichlet-repair": lambda: [
         c
         for seed in range(20)
-        for c in partition_dirichlet(small_blobs(num_classes=2, per_class=10), 8,
-                                     alpha=0.05, seed=seed)
+        for c in dirichlet(small_blobs(num_classes=2, per_class=10), 8,
+                           alpha=0.05, seed=seed)
     ],
-    "biased-6-class": lambda: partition_biased(
+    "biased-6-class": lambda: biased(
         small_blobs(num_classes=6, per_class=30), 4, seed=0
     ),
-    "dirichlet-h2h": lambda: partition_dirichlet(
+    "dirichlet-h2h": lambda: dirichlet(
         split_holdout(_h2h_blobs(), 0.5, 1)[0], 10, 0.2, seed=1
     ),
     "holdout-h2h": lambda: split_holdout(_h2h_blobs(), 0.5, 1),

@@ -130,10 +130,8 @@ class TestIntegerFields:
 
 class TestRunClient:
     def client_fixture(self):
-        from fedsc.data import partition_dirichlet
-
-        ds = small_dataset()
-        return partition_dirichlet(ds, 2, alpha=10.0, seed=0)[0]
+        config = PartitionConfig(num_clients=2, alpha=10.0, seed=0)
+        return partition_dataset(small_dataset(), config)[0]
 
     def test_deterministic_per_round_and_client(self):
         client = self.client_fixture()

@@ -1,5 +1,6 @@
 """Composite loss terms: closed forms, finite differences, batch vs per-sample."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fedsc.errors import (
+    DegeneratePrototypeError,
     DegenerateVectorError,
     DimensionMismatchError,
     EmptyDatasetError,
@@ -20,7 +22,6 @@ from fedsc.losses import (
     SimilarityContext,
     ce_loss_and_grad,
     compute_normalizers,
-    cpdr_loss_and_grad,
     rpcl_loss_and_grad,
     total_loss,
 )
@@ -38,6 +39,15 @@ def random_relational(rng, num_classes, num_clients, d, all_valid=True):
         valid[0, 0] = True
         valid[-1, -1] = True
     return RelationalSet(r, valid)
+
+
+def cpdr_loss_and_grad(z, label, consistent, norm="sq"):
+    """Per-sample CPDR reference: the distance from one (d,) feature vector
+    to its class's consistent prototype, and its gradient in z."""
+    diff = z - consistent.o[label - 1]
+    if norm == "sq":
+        return float((diff**2).mean()), 2.0 * diff / diff.shape[0]
+    return float(np.abs(diff).sum()), np.sign(diff)
 
 
 class TestComputeNormalizers:
@@ -73,6 +83,23 @@ class TestComputeNormalizers:
             ctx.u[0, 0] = 1.0
         with pytest.raises(ValueError):
             ctx.valid[0, 0] = False
+
+    def test_context_and_set_cannot_go_stale(self):
+        # the prepared RPCL prototypes hold tau and r as they were computed
+        rng = np.random.default_rng(3)
+        r = rng.standard_normal((2, 2, 3)) + 1.0
+        rel = RelationalSet(r, np.ones((2, 2), dtype=bool))
+        ctx = compute_normalizers(rng.standard_normal((5, 3)), rel)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.tau = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rel.r = -rel.r
+        with pytest.raises(ValueError):
+            rel.r[0, 0] *= -1
+        with pytest.raises(ValueError):
+            rel.valid[0, 0] = False
+        r[0, 0] *= -1  # the set holds its own copy
+        assert np.array_equal(rel.r[0, 0], -r[0, 0])
 
     def test_validation(self):
         rng = np.random.default_rng(1)
@@ -138,13 +165,6 @@ class TestCrossEntropy:
 
 
 class TestCpdr:
-    def test_shapes_checked(self):
-        wide = ConsistentSet(np.zeros((3, 4)), np.ones(3, dtype=bool))
-        with pytest.raises(DimensionMismatchError, match="consistent"):
-            cpdr_loss_and_grad(np.ones(3), 1, wide)
-        with pytest.raises(DimensionMismatchError):
-            cpdr_loss_and_grad(np.ones((2, 4)), 1, wide)
-
     def test_l1_value_and_sign_gradient(self):
         consistent = ConsistentSet(
             np.array([[1.0, -1.0, 0.0]]), np.array([True])
@@ -168,13 +188,6 @@ class TestCpdr:
         loss, grad = cpdr_loss_and_grad(np.array([1.0, 2.0]), 1, consistent, "sq")
         assert loss == 0.0
         assert np.array_equal(grad, [0.0, 0.0])
-
-    def test_missing_prototype_and_bad_norm(self):
-        consistent = ConsistentSet(np.zeros((2, 2)), np.array([True, False]))
-        with pytest.raises(NoPositivePrototypeError):
-            cpdr_loss_and_grad(np.ones(2), 2, consistent)
-        with pytest.raises(InvalidArgumentError):
-            cpdr_loss_and_grad(np.ones(2), 1, consistent, norm="linf")
 
 
 class TestRpcl:
@@ -241,6 +254,14 @@ class TestRpcl:
         with pytest.raises(DegenerateVectorError):
             rpcl_loss_and_grad(np.zeros(3), 1, rel, ctx)
 
+    def test_zero_norm_prototype_raises(self):
+        r = np.ones((2, 1, 3))
+        r[1, 0] = 0.0
+        rel = RelationalSet(r, np.ones((2, 1), dtype=bool))
+        ctx = SimilarityContext(np.ones((2, 1)), rel.valid, tau=0.05)
+        with pytest.raises(DegeneratePrototypeError, match="^zero-norm relational prototype$"):
+            rpcl_loss_and_grad(np.ones(3), 1, rel, ctx)
+
 
 class TestTotalLoss:
     def setup_case(self, seed=0, n=6, partial=False):
@@ -276,12 +297,8 @@ class TestTotalLoss:
                     rpcl_sum += rpcl_loss_and_grad(batch.z[i], label, rel, ctx)[0]
                 except (NoPositivePrototypeError, NoNegativePrototypeError):
                     pass  # batch path gates these samples to zero
-                try:
-                    cpdr_sum += cpdr_loss_and_grad(
-                        batch.z[i], label, consistent, norm
-                    )[0]
-                except NoPositivePrototypeError:
-                    pass
+                if consistent.present[label - 1]:
+                    cpdr_sum += cpdr_loss_and_grad(batch.z[i], label, consistent, norm)[0]
             assert out.ce == pytest.approx(ce_sum / n, rel=1e-10)
             assert out.rpcl == pytest.approx(rpcl_sum / n, rel=1e-10)
             assert out.cpdr == pytest.approx(cpdr_sum / n, rel=1e-10)
@@ -359,18 +376,21 @@ class TestTotalLoss:
     def test_nonpositive_normalizer_rejected_when_computed(self):
         # every feature sits on prototype r[0, 0], exactly: u[0, 0] == 0
         rng = np.random.default_rng(8)
-        rel = random_relational(rng, 3, 2, 3)
-        rel.r[0, 0] = (1.0, 2.0, 2.0)
+        r = random_relational(rng, 3, 2, 3).r.copy()
+        r[0, 0] = (1.0, 2.0, 2.0)
+        rel = RelationalSet(r, np.ones((3, 2), dtype=bool))
         with pytest.raises(InvalidArgumentError):
             compute_normalizers(np.tile(rel.r[0, 0], (4, 1)), rel)
 
     def test_zero_norm_prototype_rejected(self):
         params, batch, rel, consistent, ctx = self.setup_case(seed=9)
-        rel.r[2, 1] = 0.0
-        with pytest.raises(DegenerateVectorError):
+        r = rel.r.copy()
+        r[2, 1] = 0.0
+        rel = RelationalSet(r, rel.valid)
+        with pytest.raises(DegeneratePrototypeError):
             compute_normalizers(batch.z, rel)
         hand = SimilarityContext(ctx.u.copy(), ctx.valid.copy(), ctx.tau)
-        with pytest.raises(DegenerateVectorError):
+        with pytest.raises(DegeneratePrototypeError):
             total_loss(batch, rel, consistent, hand, params)
 
     @pytest.mark.parametrize("partial", [False, True])
