@@ -123,6 +123,13 @@ class PartitionConfig:
             raise InvalidArgumentError("seed must be >= 0")
 
 
+def _check_seed(seed) -> None:
+    """The rule ``PartitionConfig`` applies to its seed, with its messages."""
+    check_int("seed", seed)
+    if seed < 0:
+        raise InvalidArgumentError("seed must be >= 0")
+
+
 def generate_gaussian_blobs(
     num_classes: int,
     per_class_count: int,
@@ -140,7 +147,8 @@ def generate_gaussian_blobs(
         per_class_count: samples per class, >= 1.
         dim: feature dimensionality, >= 2.
         separation: minimum pairwise distance between class means.
-        seed: RNG seed; output is a pure function of the arguments.
+        seed: RNG seed, an integer >= 0; output is a pure function of the
+            arguments.
     """
     check_int("num_classes", num_classes)
     check_int("per_class_count", per_class_count)
@@ -153,6 +161,7 @@ def generate_gaussian_blobs(
         raise InvalidArgumentError("dim must be >= 2")
     if not 0 < separation < np.inf:
         raise InvalidArgumentError("separation must be finite and > 0")
+    _check_seed(seed)
 
     rng = np.random.default_rng(seed)
     radius = separation * max(1.0, float(num_classes) ** (1.0 / dim))
@@ -188,6 +197,7 @@ def split_holdout(
     """
     if not 0 < fraction < 1:
         raise InvalidArgumentError("fraction must lie in (0, 1)")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     held = np.zeros(dataset.num_samples, dtype=bool)
     for j in range(dataset.num_classes):
@@ -299,6 +309,7 @@ def apply_long_tail(dataset: Dataset, rho: float, seed: int = 0) -> Dataset:
     """
     if not 1 <= rho < np.inf:
         raise InvalidArgumentError("rho must be finite and >= 1")
+    _check_seed(seed)
     counts = dataset.class_counts
     if counts.size < 2:
         raise InvalidArgumentError("long-tail thinning needs >= 2 classes")

@@ -141,12 +141,6 @@ class ExperimentResult:
     state: ServerState
 
 
-def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
 def run_client(
     global_params: ModelParams,
     dataset: ClientDataset,
@@ -171,7 +165,8 @@ def run_client(
     buf = np.zeros(params.flat.size)
     if relational is None or consistent is None:
         relational = consistent = None
-    x, y = dataset.features, dataset.labels
+    x, y = dataset.features.astype(np.float64), dataset.labels
+    size = config.optimizer.batch_size
     sums = np.zeros(4)
     batches = 0
     for _ in range(config.local_epochs):
@@ -179,8 +174,12 @@ def run_client(
         if relational is not None:
             snapshot = forward_features(params, x).z
             context = compute_normalizers(snapshot, relational, config.temperature)
-        for idx in _minibatches(dataset.num_samples, config.optimizer.batch_size, rng):
-            fb = forward_features(params, x[idx], y[idx])
+        order = rng.permutation(dataset.num_samples)
+        # each epoch's minibatches are consecutive slices of one shuffled copy
+        xs, ys = x[order], y[order]
+        for start in range(0, dataset.num_samples, size):
+            fb = forward_features(params, xs[start:start + size],
+                                  ys[start:start + size])
             breakdown = total_loss(fb, relational, consistent, context, params,
                                    cpdr_norm=config.cpdr_norm)
             grads = backward(params, fb, breakdown.grad_z, breakdown.grad_logits)

@@ -138,7 +138,7 @@ def compute_normalizers(
     np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
     u = np.zeros(valid.shape)
-    u[valid] = sq.mean(axis=0)
+    u[valid] = sq.sum(axis=0) / feats.shape[0]
     u.flags.writeable = False
     context = SimilarityContext(u, valid, tau)
     return replace(context, prepared=_prepare_rpcl(relational, context))
@@ -278,7 +278,8 @@ def _rpcl_batch(
     r_scaled = prepared.r_scaled
     if r_scaled.shape[0] == 0:
         return np.zeros(len(z)), np.zeros_like(z)
-    zn = np.linalg.norm(z, axis=1)
+    # np.linalg.norm(z, axis=1) without its wrapper
+    zn = np.sqrt(np.add.reduce(z * z, axis=1))
     if (zn < _EPS).any():
         raise DegenerateVectorError("zero-norm feature vector in batch")
     z_hat = z / zn[:, None]
@@ -287,15 +288,22 @@ def _rpcl_batch(
     pos = prepared.positive[idx]                # (n, P)
     active = prepared.contrasted[idx]
 
-    shift = s.max(axis=1, keepdims=True)
-    w = np.exp(s - shift)
+    w = s - s.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
     s_all = w.sum(axis=1)
     s_pos = np.maximum((w * pos).sum(axis=1), _EPS)
     losses = np.where(active, np.log(s_all) - np.log(s_pos), 0.0)
 
-    c = w / s_all[:, None] - pos * (w / s_pos[:, None])
+    # c = w / s_all - pos * (w / s_pos), zero for inactive rows
+    c = w / s_all[:, None]
+    w /= s_pos[:, None]
+    w *= pos
+    c -= w
     c *= active[:, None]
-    grad = c @ r_scaled - (c * s).sum(axis=1)[:, None] * z_hat
+    s *= c
+    z_hat *= s.sum(axis=1)[:, None]
+    grad = c @ r_scaled
+    grad -= z_hat
     grad /= zn[:, None]
     return losses, grad
 
@@ -306,24 +314,29 @@ def _cpdr_batch(
     """Vectorized CPDR with 0-based class indices ``idx``; samples of classes
     without a prototype contribute zero."""
     active = consistent.present[idx]
-    diff = z - consistent.o[idx]
+    grad = z - consistent.o[idx]                # the difference, then its gradient
     if norm == "sq":
-        losses = (diff**2).mean(axis=1)
-        grad = 2.0 * diff / diff.shape[1]
+        losses = (grad**2).sum(axis=1) / grad.shape[1]
+        grad *= 2.0
+        grad /= grad.shape[1]
     elif norm == "l1":
-        losses = np.abs(diff).sum(axis=1)
-        grad = np.sign(diff)
+        losses = np.abs(grad).sum(axis=1)
+        np.sign(grad, out=grad)
     else:
         raise InvalidArgumentError(f"unknown cpdr norm '{norm}'")
-    return losses * active, grad * active[:, None]
+    losses *= active
+    grad *= active[:, None]
+    return losses, grad
 
 
 def _ce_batch(logits: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(len(idx))
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    grad = np.exp(shifted)
+    lse = np.log(grad.sum(axis=1))
     losses = lse - shifted[rows, idx]
-    grad = np.exp(shifted - lse[:, None])
+    np.subtract(shifted, lse[:, None], out=grad)
+    np.exp(grad, out=grad)
     grad[rows, idx] -= 1.0
     return losses, grad
 
@@ -356,7 +369,7 @@ def total_loss(
 
     idx = labels - 1
     ce_losses, ce_grad = _ce_batch(logits, idx)
-    ce = float(ce_losses.mean())
+    ce = float(ce_losses.sum() / n)
     rpcl = cpdr = 0.0
     grad_z = None
     if relational is not None and context is not None:
@@ -364,10 +377,10 @@ def total_loss(
         if prepared is None or prepared.relational is not relational:
             prepared = _prepare_rpcl(relational, context)
         rpcl_losses, grad_z = _rpcl_batch(batch.z, idx, prepared)
-        rpcl = float(rpcl_losses.mean())
+        rpcl = float(rpcl_losses.sum() / n)
     if consistent is not None:
         cpdr_losses, cpdr_grad = _cpdr_batch(batch.z, idx, consistent, cpdr_norm)
-        cpdr = float(cpdr_losses.mean())
+        cpdr = float(cpdr_losses.sum() / n)
         if grad_z is None:
             grad_z = cpdr_grad
         else:
@@ -375,4 +388,5 @@ def total_loss(
     if grad_z is None:
         grad_z = np.zeros_like(batch.z)
     grad_z /= n
-    return LossBreakdown(ce, rpcl, cpdr, ce + rpcl + cpdr, grad_z, ce_grad / n)
+    ce_grad /= n
+    return LossBreakdown(ce, rpcl, cpdr, ce + rpcl + cpdr, grad_z, ce_grad)

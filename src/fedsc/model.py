@@ -25,6 +25,9 @@ from .errors import (
 # weight fields in declaration order
 _FIELDS = ("w1", "b1", "w2", "b2", "v", "c")
 
+# evaluate_accuracy runs the extractor on this many test rows at a time
+_EVAL_ROWS = 512
+
 
 class ModelParams:
     """Extractor and classifier weights as named views into one flat vector.
@@ -149,9 +152,11 @@ def forward_features(
         raise DimensionMismatchError(
             f"inputs of shape {x.shape} do not match d_in={params.d_in}"
         )
-    pre1 = x @ params.w1 + params.b1
+    pre1 = x @ params.w1
+    pre1 += params.b1
     act1 = np.maximum(pre1, 0.0)
-    z = act1 @ params.w2 + params.b2
+    z = act1 @ params.w2
+    z += params.b2
     y = None if labels is None else np.asarray(labels, dtype=np.int64)
     return FeatureBatch(x, pre1, act1, z, y)
 
@@ -191,11 +196,12 @@ def backward(
     grads = params.with_flat(np.empty(params.flat.size))
     np.matmul(batch.z.T, gl, out=grads.v)
     gl.sum(axis=0, out=grads.c)
-    gz_total = gz + gl @ params.v.T
+    gz_total = gl @ params.v.T
+    gz_total += gz
     np.matmul(batch.act1.T, gz_total, out=grads.w2)
     gz_total.sum(axis=0, out=grads.b2)
-    ga1 = gz_total @ params.w2.T
-    gpre1 = ga1 * (batch.pre1 > 0.0)
+    gpre1 = gz_total @ params.w2.T
+    gpre1 *= batch.pre1 > 0.0
     np.matmul(batch.inputs.T, gpre1, out=grads.w1)
     gpre1.sum(axis=0, out=grads.b1)
     return grads
@@ -214,17 +220,22 @@ def sgd_step(params: ModelParams, grads: ModelParams, buf: np.ndarray,
     """
     if not np.isfinite(grads.flat).all():
         raise NonfiniteGradientError("gradient contains NaN or Inf")
+    step = config.weight_decay * params.flat
+    step += grads.flat
     buf *= config.momentum
-    buf += grads.flat + config.weight_decay * params.flat
-    params.flat -= config.learning_rate * buf
+    buf += step
+    np.multiply(config.learning_rate, buf, out=step)
+    params.flat -= step
 
 
 def evaluate_accuracy(params: ModelParams, features: np.ndarray,
                       labels: np.ndarray) -> float:
     """Fraction of samples whose argmax logit matches the 1-based label.
 
-    Zero samples raise ``EmptyDatasetError``: their accuracy is undefined.
-    A label count other than the sample count raises ``DimensionMismatchError``.
+    The extractor runs on blocks of ``_EVAL_ROWS`` rows, so its hidden
+    activations never hold the whole set.  Zero samples raise
+    ``EmptyDatasetError``: their accuracy is undefined.  A label count other
+    than the sample count raises ``DimensionMismatchError``.
     """
     if len(features) == 0:
         raise EmptyDatasetError("cannot evaluate on zero samples")
@@ -233,6 +244,7 @@ def evaluate_accuracy(params: ModelParams, features: np.ndarray,
         raise DimensionMismatchError(
             f"labels shape {labels.shape} does not match {len(features)} samples"
         )
-    z = forward_features(params, features).z
+    z = np.concatenate([forward_features(params, features[i:i + _EVAL_ROWS]).z
+                        for i in range(0, len(features), _EVAL_ROWS)])
     pred = np.argmax(forward_logits(params, z), axis=1) + 1
     return float(np.mean(pred == labels))

@@ -65,6 +65,12 @@ def test_traced_runs_see_what_each_algorithm_exchanges(bench, tmp_path):
         assert rep.problems == []
         metrics[algorithm] = tracing.layer_metrics(tracer)
         assert metrics[algorithm]["prototypes.build_collaboration.calls"] == 3
+        # the step runs through the names the tracer wraps
+        step = [metrics[algorithm][f"{name}.calls"] for name in
+                ("losses.total_loss", "model.backward", "model.sgd_step")]
+        assert step[0] > 0 and step.count(step[0]) == len(step)
+    assert metrics["fedavg"]["losses.compute_normalizers.calls"] == 0
+    assert metrics["fedsc"]["losses.compute_normalizers.calls"] > 0
     used = "prototypes.build_collaboration.used_share"
     assert metrics["fedavg"][used] == 0
     assert metrics["fedsc"][used] > 0

@@ -39,6 +39,32 @@ def biased(dataset, num_clients, seed=0):
     return partition_dataset(dataset, PartitionConfig("biased", num_clients, seed=seed))
 
 
+# each seeded data function, returning the features it drew
+SEEDED = {
+    "generate_gaussian_blobs":
+        lambda seed: generate_gaussian_blobs(3, 4, 2, seed=seed).features,
+    "split_holdout": lambda seed: split_holdout(small_blobs(), 0.5, seed=seed)[1].features,
+    "apply_long_tail": lambda seed: apply_long_tail(small_blobs(), 2.0, seed=seed).features,
+}
+
+
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+class TestSeedArgument:
+    """The data functions check a seed as ``PartitionConfig`` does."""
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", True])
+    def test_non_integer_rejected(self, call, seed):
+        with pytest.raises(InvalidArgumentError, match="^seed must be an integer"):
+            call(seed)
+
+    def test_negative_rejected(self, call):
+        with pytest.raises(InvalidArgumentError, match="^seed must be >= 0$"):
+            call(-1)
+
+    def test_numpy_integer_accepted(self, call):
+        assert np.array_equal(call(np.int64(3)), call(3))
+
+
 def long_tail_counts(n_max, num_classes, rho):
     """Kept-per-class counts of thinning balanced blobs of n_max per class."""
     blobs = small_blobs(num_classes=num_classes, per_class=n_max, dim=2)

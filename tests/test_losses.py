@@ -25,7 +25,7 @@ from fedsc.losses import (
     rpcl_loss_and_grad,
     total_loss,
 )
-from fedsc.model import forward_features, forward_logits, init_params
+from fedsc.model import backward, forward_features, forward_logits, init_params
 from fedsc.prototypes import ConsistentSet, RelationalSet
 
 
@@ -407,6 +407,23 @@ class TestTotalLoss:
         got = total_loss(batch, other, consistent, ctx, params)
         self.assert_same(got, total_loss(batch, other, consistent, hand, params))
         assert got.rpcl != total_loss(batch, rel, consistent, ctx, params).rpcl
+
+    @pytest.mark.parametrize("norm", CPDR_NORMS)
+    def test_leaves_its_inputs_unchanged(self, norm):
+        # perfbench's loss probe times total_loss again and again on one batch
+        params, batch, rel, consistent, ctx = self.setup_case(seed=12, partial=True)
+        inputs = (params.flat, batch.inputs, batch.pre1, batch.act1, batch.z,
+                  batch.labels, ctx.u, ctx.valid, *ctx.prepared[1:], rel.r,
+                  rel.valid, consistent.o, consistent.present)
+        before = [a.tobytes() for a in inputs]
+        out = total_loss(batch, rel, consistent, ctx, params, cpdr_norm=norm)
+        self.assert_same(out, total_loss(batch, rel, consistent, ctx, params,
+                                         cpdr_norm=norm))
+        upstream = (out.grad_z, out.grad_logits)
+        sent = [a.tobytes() for a in upstream]
+        backward(params, batch, *upstream)
+        assert [a.tobytes() for a in upstream] == sent
+        assert [a.tobytes() for a in inputs] == before
 
     @staticmethod
     def assert_same(a, b):

@@ -11,6 +11,7 @@ from fedsc.errors import (
 )
 from fedsc.losses import total_loss
 from fedsc.model import (
+    _EVAL_ROWS,
     ModelParams,
     OptimizerConfig,
     backward,
@@ -292,14 +293,17 @@ class TestModelParams:
 
 
 class TestEvaluateAccuracy:
-    def test_matches_manual_argmax(self):
+    @pytest.mark.parametrize("n", [1, _EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1,
+                                   2 * _EVAL_ROWS + 1])
+    def test_matches_manual_argmax(self, n):
+        # the blocked pass against one pass over every row
         params = tiny_params(seed=9)
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((40, params.d_in))
-        y = rng.integers(1, params.num_classes + 1, size=40)
+        x = rng.standard_normal((n, params.d_in))
+        y = rng.integers(1, params.num_classes + 1, size=n)
         z = forward_features(params, x).z
         pred = np.argmax(forward_logits(params, z), axis=1) + 1
-        assert evaluate_accuracy(params, x, y) == pytest.approx(np.mean(pred == y))
+        assert evaluate_accuracy(params, x, y) == np.mean(pred == y)
 
     def test_label_count_checked(self):
         # a single label would broadcast against 60 rows into an accuracy
