@@ -161,7 +161,7 @@ def _resolve_run_config(
         raise InvalidConfigError(str(exc)) from exc
 
 
-def cmd_generate(cfg: RunConfig, seed: int) -> int:
+def _cmd_generate(cfg: RunConfig, seed: int) -> int:
     """Write train.fsd (thinned by ``rho``), test.fsd and a per-class count table."""
     try:
         dataset = generate_gaussian_blobs(cfg.num_classes, cfg.per_class,
@@ -183,7 +183,7 @@ def cmd_generate(cfg: RunConfig, seed: int) -> int:
     return 0
 
 
-def cmd_run(out: str, partition: PartitionConfig, federation: FederationConfig) -> int:
+def _cmd_run(out: str, partition: PartitionConfig, federation: FederationConfig) -> int:
     """Run one experiment against previously generated dataset files."""
     out = Path(out)
     train = load_dataset(out / "train.fsd")
@@ -208,7 +208,7 @@ def cmd_run(out: str, partition: PartitionConfig, federation: FederationConfig) 
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     """Key=value comparison of two metrics files."""
     if args.threshold is not None and not math.isfinite(args.threshold):
         raise InvalidConfigError(f"threshold must be finite, got {args.threshold}")
@@ -264,7 +264,7 @@ def _load_constants(path: str) -> dict:
     return values
 
 
-def cmd_theory(args: argparse.Namespace) -> int:
+def _cmd_theory(args: argparse.Namespace) -> int:
     """Evaluate the bound calculators on a key=value constants file."""
     values = _load_constants(args.constants)
     l_re = values.pop("l_re", None)
@@ -321,12 +321,12 @@ def main(argv=None) -> int:
         if args.command in ("generate", "run"):
             cfg, partition, federation = _resolve_run_config(args)
         if args.command == "generate":
-            return cmd_generate(cfg, partition.seed)
+            return _cmd_generate(cfg, partition.seed)
         if args.command == "run":
-            return cmd_run(cfg.out, partition, federation)
+            return _cmd_run(cfg.out, partition, federation)
         if args.command == "compare":
-            return cmd_compare(args)
-        return cmd_theory(args)
+            return _cmd_compare(args)
+        return _cmd_theory(args)
     except (InvalidConfigError, InvalidConstantsError) as exc:
         print(f"fedsc: {exc.code}: {exc}", file=sys.stderr)
         return 2

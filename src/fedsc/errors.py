@@ -84,15 +84,15 @@ class MalformedCsvError(FedscError, ValueError):
     code = "malformed-csv"
 
 
-def check_int(name: str, value) -> None:
+def check_int(name: str, value, error=InvalidArgumentError) -> None:
     """Reject anything but a Python or numpy integer (``3.0``, ``"3"`` and
-    ``True`` included), naming the argument."""
+    ``True`` included) with ``error``, naming the argument."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
-def check_int_fields(obj) -> None:
+def check_int_fields(obj, error=InvalidArgumentError) -> None:
     """Apply :func:`check_int` to every ``int``-annotated dataclass field."""
     for f in fields(obj):
         if f.type in ("int", int):
-            check_int(f.name, getattr(obj, f.name))
+            check_int(f.name, getattr(obj, f.name), error)

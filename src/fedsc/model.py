@@ -93,6 +93,10 @@ class ModelParams:
     def weights(self) -> dict[str, np.ndarray]:
         return dict(zip(_FIELDS, (self.w1, self.b1, self.w2, self.b2, self.v, self.c)))
 
+    def __reduce__(self):
+        # copies and unpickled models rebuild flat, so their fields stay views
+        return ModelParams, tuple(self.weights().values())
+
 
 @dataclass
 class FeatureBatch:

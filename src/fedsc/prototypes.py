@@ -7,12 +7,12 @@ consistent prototypes:
     -> relational prototypes -> discrepancy-aware weights -> consistent
     prototypes
 
-``build_collaboration`` stacks the K reports once, into (K, C, d) vectors
-and a (K, C) presence mask, and each stage takes and returns plain arrays;
-only the relational and consistent prototypes, which the clients' losses
-read, keep their ``RelationalSet`` and ``ConsistentSet`` masks.  Class axes
-are 0-based (row j holds label j + 1); client axes follow the 1-based client
-ids in ascending order.
+``build_collaboration`` is the one entry: it stacks the K reports once into
+(K, C, d) vectors and a (K, C) presence mask, runs every stage on them and
+returns each stage's output; only the relational and consistent prototypes,
+which the clients' losses read, keep a mask type.  Class axes are 0-based
+(row j holds label j + 1); client axes follow the 1-based client ids in
+ascending order.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     InvalidArgumentError,
+    check_int,
 )
 
 _EPS = 1e-12
@@ -124,18 +125,7 @@ def prototypes_from_features(
     return PrototypeSet(vectors, present, owner)
 
 
-def compute_global_prototypes(vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Average client prototypes per class over the clients that hold it.
-
-    ``vectors`` is (K, C, d) and ``present`` (K, C); the result is (C, d).
-    A class no client holds gets a zero row.
-    """
-    support = present.sum(axis=0)
-    denom = np.maximum(support, 1)[:, None]
-    return vectors.sum(axis=0) / denom
-
-
-def angular_differences(
+def _angular_differences(
     g: np.ndarray, vectors: np.ndarray, present: np.ndarray, owners: list[int]
 ) -> np.ndarray:
     """Cosine similarity phi[j, k] between g_j and client k's prototype.
@@ -158,7 +148,7 @@ def angular_differences(
     return phi.T
 
 
-def build_adjacency(phi: np.ndarray, valid: np.ndarray, neighbors: int) -> np.ndarray:
+def _build_adjacency(phi: np.ndarray, valid: np.ndarray, neighbors: int) -> np.ndarray:
     """Self plus the M clients with closest angular difference, per class.
 
     ``phi`` and ``valid`` are (C, K); the result is the (C, K, K) uint8
@@ -168,8 +158,6 @@ def build_adjacency(phi: np.ndarray, valid: np.ndarray, neighbors: int) -> np.nd
     on the absolute angular difference go to the lower client index.  Rows
     for clients that lack the class stay all-zero.
     """
-    if neighbors < 0:
-        raise InvalidArgumentError("neighbors must be >= 0")
     num_classes, num_clients = phi.shape
     a = np.zeros((num_classes, num_clients, num_clients), dtype=np.uint8)
     for j in range(num_classes):
@@ -184,24 +172,6 @@ def build_adjacency(phi: np.ndarray, valid: np.ndarray, neighbors: int) -> np.nd
             diffs[rows, nbr] = np.inf
         a[j, idx, idx] = 1
     return a
-
-
-def relational_prototypes(adjacency: np.ndarray, vectors: np.ndarray) -> RelationalSet:
-    """Average each client's selected neighbourhood of class prototypes.
-
-    r[j, k] = sum_q a[j, k, q] v[q, j] / sum_q a[j, k, q], one product per
-    class so the scratch stays O(K^2); rows with no neighbour stay zero.
-    """
-    num_classes, num_clients, _ = adjacency.shape
-    if vectors.shape[0] != num_clients:
-        raise DimensionMismatchError(
-            f"adjacency covers {num_clients} clients, vectors {vectors.shape[0]}"
-        )
-    count = adjacency.sum(axis=2)                     # (C, K)
-    r = np.empty((num_classes, num_clients, vectors.shape[2]))
-    for j in range(num_classes):
-        r[j] = adjacency[j] @ vectors[:, j] / np.maximum(count[j], 1)[:, None]
-    return RelationalSet(r, count > 0)
 
 
 def client_discrepancy(class_counts: np.ndarray) -> float | np.ndarray:
@@ -243,38 +213,24 @@ def aggregation_weights(
     return raw / raw.sum()
 
 
-def consistent_prototypes(relational: RelationalSet, weights: np.ndarray) -> ConsistentSet:
-    """Weighted average of relational prototypes across clients, per class.
-
-    Clients lacking a class get zero weight and the remaining weights are
-    renormalized for that class; a class no client holds gets a zero row
-    and a False mask entry.
-    """
-    num_classes, num_clients, d = relational.r.shape
-    if weights.shape != (num_clients,):
-        raise DimensionMismatchError("weights do not match the client axis")
-    w = np.where(relational.valid, weights, 0.0)   # (C, K)
-    w_total = w.sum(axis=1)
-    present = w_total > 0
-    w = np.divide(w, w_total[:, None], out=np.zeros_like(w), where=present[:, None])
-    return ConsistentSet(np.einsum("jk,jkd->jd", w, relational.r), present)
-
-
 def build_collaboration(
     sets: list[PrototypeSet], class_counts: np.ndarray, neighbors: int
 ) -> Collaboration:
     """Run the full server-side pipeline for one batch of client reports.
 
-    The one place that stacks the reports: every stage reads the (K, C, d)
-    vectors and (K, C) presence built here.
+    The one place that stacks the reports and checks the pipeline's input;
+    the returned ``Collaboration`` holds every stage's output.
 
     Args:
         sets: prototype sets in ascending client-id order, all (C, d).
         class_counts: (num_clients, num_classes) per-client label histograms.
-        neighbors: adjacency size M.
+        neighbors: adjacency size M, an integer >= 0.
     """
     if not sets:
         raise InvalidArgumentError("need at least one prototype set")
+    check_int("neighbors", neighbors)
+    if neighbors < 0:
+        raise InvalidArgumentError("neighbors must be >= 0")
     shape = sets[0].vectors.shape
     for k, s in enumerate(sets):
         if s.vectors.shape != shape:
@@ -290,12 +246,25 @@ def build_collaboration(
         )
     vectors = np.stack([s.vectors for s in sets])   # (K, C, d)
     present = np.stack([s.present for s in sets])   # (K, C)
-    g = compute_global_prototypes(vectors, present)
-    phi = angular_differences(g, vectors, present, [s.owner for s in sets])
-    adjacency = build_adjacency(phi, present.T, neighbors)
-    relational = relational_prototypes(adjacency, vectors)
+    # global prototypes: per-class mean over the clients holding the class
+    g = vectors.sum(axis=0) / np.maximum(present.sum(axis=0), 1)[:, None]
+    phi = _angular_differences(g, vectors, present, [s.owner for s in sets])
+    adjacency = _build_adjacency(phi, present.T, neighbors)
+    # relational prototypes: r[j, k] = sum_q a[j, k, q] v[q, j] / sum_q a[j, k, q],
+    # one product per class so the scratch stays O(K^2)
+    count = adjacency.sum(axis=2)                   # (C, K)
+    r = np.empty((shape[0], len(sets), shape[1]))
+    for j in range(shape[0]):
+        r[j] = adjacency[j] @ vectors[:, j] / np.maximum(count[j], 1)[:, None]
+    relational = RelationalSet(r, count > 0)
     discrepancies = client_discrepancy(counts)
     weights = aggregation_weights(counts.sum(axis=1), discrepancies)
-    consistent = consistent_prototypes(relational, weights)
+    # consistent prototypes: per class, the weights of the valid clients
+    # renormalized; a class no client holds gets a zero row marked absent
+    w = np.where(relational.valid, weights, 0.0)    # (C, K)
+    w_total = w.sum(axis=1)
+    held = w_total > 0
+    w = np.divide(w, w_total[:, None], out=np.zeros_like(w), where=held[:, None])
+    consistent = ConsistentSet(np.einsum("jk,jkd->jd", w, relational.r), held)
     return Collaboration(g, phi, adjacency, relational, discrepancies, weights,
                          consistent)

@@ -30,6 +30,7 @@ from .errors import (
     InsufficientTraceError,
     InvalidConstantsError,
     NoFeasibleRateError,
+    check_int_fields,
 )
 
 
@@ -54,6 +55,7 @@ class TheoryConstants:
     l_star: float | None = None
 
     def __post_init__(self):
+        check_int_fields(self, InvalidConstantsError)
         for name in ("l1", "l2", "b", "sigma_sq", "eta", "xi", "l0", "l_star"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):

@@ -320,6 +320,12 @@ class TestConfigLayering:
             assert federation == FederationConfig()
             assert federation.optimizer == OptimizerConfig()
 
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        assert run_cli("run", "--config", str(tmp_path / "none.ini"),
+                       "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(
+            "fedsc: invalid-config: cannot read config file:")
+
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_bytes(b"[data]\ndim = \xff\n")
@@ -396,6 +402,15 @@ class TestCompare:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run_cli("compare", str(tmp_path / "x.csv"),
                        str(tmp_path / "y.csv")) == 3
+
+    def test_header_only_file_is_runtime_error(self, tmp_path, capsys):
+        empty, good = tmp_path / "empty.csv", tmp_path / "good.csv"
+        self.write_csv(empty, [])
+        self.write_csv(good, [0.5])
+        for a, b in ((empty, good), (good, empty)):
+            assert run_cli("compare", str(a), str(b)) == 3
+            assert capsys.readouterr().err == (
+                "fedsc: invalid-argument: metrics files must contain at least one round\n")
 
     def test_malformed_csv_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

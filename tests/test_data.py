@@ -114,6 +114,12 @@ class TestDataset:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Dataset([[0.0, 0.0]], [1, 2], 2)
+        with pytest.raises(DimensionMismatchError, match="features must be 2-d"):
+            Dataset([0.0, 1.0], [1, 2], 2)
+
+    def test_needs_at_least_one_class(self):
+        with pytest.raises(InvalidArgumentError, match="^num_classes must be >= 1$"):
+            Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 0)
 
 
 class TestClientDataset:

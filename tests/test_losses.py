@@ -199,6 +199,8 @@ class TestRpcl:
         ctx = SimilarityContext(np.ones((3, 2)), np.ones((3, 2), dtype=bool))
         with pytest.raises(DimensionMismatchError, match="relational"):
             rpcl_loss_and_grad(np.ones(5), 1, rel, ctx)
+        with pytest.raises(DimensionMismatchError, match=r"not one \(d,\) vector"):
+            rpcl_loss_and_grad(np.ones((2, 4)), 1, rel, ctx)
 
     def test_symmetric_prototypes_give_log_c(self):
         # every class holds the same prototype, so all similarities tie and
@@ -459,6 +461,25 @@ class TestTotalLoss:
             ctx = SimilarityContext(np.ones((classes, 2)), rel.valid, 0.1)
             with pytest.raises(DimensionMismatchError, match="relational"):
                 total_loss(batch, rel, consistent, ctx, params)
+
+    def test_rpcl_without_a_valid_prototype_contributes_zero(self):
+        params, batch, rel, consistent, _ = self.setup_case(seed=13)
+        none_valid = RelationalSet(rel.r, np.zeros_like(rel.valid))
+        ctx = compute_normalizers(batch.z, none_valid)
+        out = total_loss(batch, none_valid, consistent, ctx, params)
+        assert out.rpcl == 0.0
+        self.assert_same(out, total_loss(batch, None, consistent, None, params))
+
+    def test_zero_norm_feature_row_rejected(self):
+        params, batch, rel, consistent, ctx = self.setup_case(seed=14)
+        batch.z[2] = 0.0
+        with pytest.raises(DegenerateVectorError, match="zero-norm feature vector"):
+            total_loss(batch, rel, consistent, ctx, params)
+
+    def test_unknown_cpdr_norm_rejected(self):
+        params, batch, rel, consistent, ctx = self.setup_case(seed=15)
+        with pytest.raises(InvalidArgumentError, match="unknown cpdr norm 'l2'"):
+            total_loss(batch, rel, consistent, ctx, params, cpdr_norm="l2")
 
     def test_without_prototypes_reduces_to_ce(self):
         params, batch, _, _, _ = self.setup_case(seed=6)

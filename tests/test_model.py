@@ -1,6 +1,9 @@
 """MLP forward/backward, the flat parameter layout, and the in-place
 momentum-SGD optimizer."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -286,9 +289,29 @@ class TestModelParams:
         assert not np.shares_memory(grads.flat, params.flat)
         assert grads.w2.shape == params.w2.shape
 
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_fields_as_views_of_flat(self, clone):
+        params = tiny_params()
+        before = params.flat.copy()
+        twin = clone(params)
+        assert np.array_equal(twin.flat, params.flat)
+        assert not np.shares_memory(twin.flat, params.flat)
+        for name in _FIELDS:
+            assert np.shares_memory(getattr(twin, name), twin.flat), name
+        # an in-place step on the copy's flat vector reaches its layers only
+        twin.flat += 1.0
+        assert np.array_equal(twin.w1, params.w1 + 1.0)
+        assert np.array_equal(twin.c, params.c + 1.0)
+        assert np.array_equal(params.flat, before)
+
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
             ModelParams(np.zeros((3, 4)), np.zeros(5), np.zeros((4, 2)),
+                        np.zeros(2), np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(DimensionMismatchError, match="must be 2-d"):
+            ModelParams(np.zeros(3), np.zeros(4), np.zeros((4, 2)),
                         np.zeros(2), np.zeros((2, 2)), np.zeros(2))
 
 

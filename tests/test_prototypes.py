@@ -13,16 +13,11 @@ from fedsc.errors import (
 )
 from fedsc.prototypes import (
     PrototypeSet,
-    RelationalSet,
+    _build_adjacency,
     aggregation_weights,
-    angular_differences,
-    build_adjacency,
     build_collaboration,
     client_discrepancy,
-    compute_global_prototypes,
-    consistent_prototypes,
     prototypes_from_features,
-    relational_prototypes,
 )
 
 
@@ -38,11 +33,25 @@ def stacked(sets):
     return np.stack([s.vectors for s in sets]), np.stack([s.present for s in sets])
 
 
-def phi_of(sets):
-    """Global prototypes and angular differences of a list of sets."""
-    vectors, present = stacked(sets)
-    g = compute_global_prototypes(vectors, present)
-    return g, angular_differences(g, vectors, present, [s.owner for s in sets])
+def collab(sets, neighbors=1, counts=None):
+    """build_collaboration, by default with one sample per held class."""
+    if counts is None:
+        counts = stacked(sets)[1].astype(np.int64)
+    return build_collaboration(sets, counts, neighbors)
+
+
+def sorted_adjacency(phi, valid, neighbors):
+    """Reference top-M selection: rank the other valid clients of each class
+    by (|phi difference|, client index) and keep the first M, plus self."""
+    num_classes, num_clients = phi.shape
+    expected = np.zeros((num_classes, num_clients, num_clients), np.uint8)
+    for j in range(num_classes):
+        idx = np.flatnonzero(valid[j])
+        for k in idx:
+            others = sorted((abs(phi[j, q] - phi[j, k]), q) for q in idx if q != k)
+            chosen = [q for _, q in others[:neighbors]] + [k]
+            expected[j, k, chosen] = 1
+    return expected
 
 
 class TestClientPrototypes:
@@ -65,6 +74,12 @@ class TestClientPrototypes:
         assert np.allclose(s.vectors[1], [1.0, 1.0])
         assert s.present.tolist() == [True, True, False]
 
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionMismatchError, match="inconsistent"):
+            PrototypeSet(np.ones((3, 2)), [True, False])
+        with pytest.raises(DimensionMismatchError, match="inconsistent"):
+            PrototypeSet(np.ones(3), [True, False, True])
+
     def test_absent_rows_zeroed_without_touching_input(self):
         vectors = np.full((3, 2), np.nan)
         vectors[1] = [1.0, 2.0]
@@ -80,20 +95,20 @@ class TestGlobalPrototypes:
             proto([[1.0, 0.0], [0.0, 2.0]]),
             proto([[3.0, 0.0], [0.0, 0.0]], present=[True, False]),
         ]
-        g = compute_global_prototypes(*stacked(sets))
+        g = collab(sets).global_prototypes
         assert np.allclose(g[0], [2.0, 0.0])
         assert np.allclose(g[1], [0.0, 2.0])
 
     def test_missing_class_gets_zero_row(self):
         sets = [proto([[1.0, 0.0], [5.0, 5.0]], present=[True, False])]
-        g = compute_global_prototypes(*stacked(sets))
+        g = collab(sets).global_prototypes
         assert np.allclose(g[1], 0.0)
 
 
 class TestAngularDifferences:
     def test_cosine_values(self):
         sets = [proto([[1.0, 0.0]]), proto([[0.0, 1.0]])]
-        g, phi = phi_of(sets)  # g = [0.5, 0.5]
+        phi = collab(sets).phi  # g = [0.5, 0.5]
         expected = 0.5 / (math.sqrt(0.5) * 1.0)
         assert phi.shape == (1, 2)  # (class, client)
         assert phi[0, 0] == pytest.approx(expected)
@@ -104,14 +119,14 @@ class TestAngularDifferences:
             proto([[1.0, 0.0], [0.0, 1.0]]),
             proto([[1.0, 1.0], [0.0, 0.0]], present=[True, False]),
         ]
-        _, phi = phi_of(sets)
+        phi = collab(sets).phi
         assert stacked(sets)[1].T.tolist() == [[True, True], [True, False]]
         assert phi[1, 1] == 0.0
 
     def test_degenerate_prototype_raises(self):
         sets = [proto([[0.0, 0.0]]), proto([[1.0, 0.0]])]
         with pytest.raises(DegeneratePrototypeError):
-            phi_of(sets)
+            collab(sets)
 
     def test_degenerate_error_names_first_pair_client_major(self):
         # client 5 holds a zero class-3 prototype, client 7 a zero class-1
@@ -122,30 +137,30 @@ class TestAngularDifferences:
                 proto([[0.0, 0.0], ok[1], ok[2]], owner=7)]
         with pytest.raises(DegeneratePrototypeError,
                            match=r"^zero-norm prototype for class 3, client 5$"):
-            phi_of(sets)
+            collab(sets)
         # an absent class is never degenerate
         sets[1] = proto([ok[0], ok[1], [0.0, 0.0]], owner=5,
                         present=[True, True, False])
         with pytest.raises(DegeneratePrototypeError,
                            match=r"^zero-norm prototype for class 1, client 7$"):
-            phi_of(sets)
+            collab(sets)
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(0)
         sets = [proto(rng.standard_normal((4, 6))) for _ in range(5)]
-        _, phi = phi_of(sets)
+        phi = collab(sets).phi
         assert (np.abs(phi) <= 1.0 + 1e-12).all()
 
 
 class TestBuildAdjacency:
     def test_self_always_selected(self):
-        adj = build_adjacency(np.array([[0.9, 0.5, 0.1]]),
-                              np.ones((1, 3), dtype=bool), neighbors=0)
+        adj = _build_adjacency(np.array([[0.9, 0.5, 0.1]]),
+                               np.ones((1, 3), dtype=bool), neighbors=0)
         assert np.array_equal(adj[0], np.eye(3, dtype=np.uint8))
 
     def test_top_one_neighbourhood(self):
-        adj = build_adjacency(np.array([[0.9, 0.8, 0.6, 0.1]]),
-                              np.ones((1, 4), dtype=bool), neighbors=1)
+        adj = _build_adjacency(np.array([[0.9, 0.8, 0.6, 0.1]]),
+                               np.ones((1, 4), dtype=bool), neighbors=1)
         # nearest by |phi difference|: 0<->1, 2->1, 3->2
         assert adj[0].tolist() == [
             [1, 1, 0, 0],
@@ -156,75 +171,54 @@ class TestBuildAdjacency:
 
     def test_tie_goes_to_lower_client_index(self):
         # clients 1 and 2 are both 0.1 away from client 0
-        adj = build_adjacency(np.array([[0.5, 0.4, 0.6, 0.9]]),
-                              np.ones((1, 4), dtype=bool), neighbors=1)
+        adj = _build_adjacency(np.array([[0.5, 0.4, 0.6, 0.9]]),
+                               np.ones((1, 4), dtype=bool), neighbors=1)
         assert adj[0, 0].tolist() == [1, 1, 0, 0]
 
     def test_neighbors_capped_by_validity(self):
-        adj = build_adjacency(np.array([[0.9, 0.5, 0.0]]),
-                              np.array([[True, True, False]]), neighbors=5)
+        adj = _build_adjacency(np.array([[0.9, 0.5, 0.0]]),
+                               np.array([[True, True, False]]), neighbors=5)
         assert adj[0].tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 0]]
 
     def test_tie_heavy_random_tables_match_sorted_reference(self):
-        # integer-valued phi with 2-3 distinct values ties almost every gap;
-        # the reference ranks the other valid clients by (gap, client index)
+        # integer-valued phi with 2-3 distinct values ties almost every gap
         rng = np.random.default_rng(7)
         for _ in range(40):
             num_classes, num_clients = rng.integers(1, 4), rng.integers(1, 9)
             phi = rng.integers(0, rng.integers(2, 4), size=(num_classes, num_clients))
             valid = rng.random((num_classes, num_clients)) < 0.7
             for neighbors in range(num_clients + 1):
-                expected = np.zeros((num_classes, num_clients, num_clients), np.uint8)
-                for j in range(num_classes):
-                    idx = np.flatnonzero(valid[j])
-                    for k in idx:
-                        others = sorted((abs(phi[j, q] - phi[j, k]), q)
-                                        for q in idx if q != k)
-                        chosen = [q for _, q in others[:neighbors]] + [k]
-                        expected[j, k, chosen] = 1
-                adj = build_adjacency(phi.astype(np.float64), valid, neighbors)
-                assert np.array_equal(adj, expected), (phi, valid, neighbors)
+                adj = _build_adjacency(phi.astype(np.float64), valid, neighbors)
+                assert np.array_equal(adj, sorted_adjacency(phi, valid, neighbors)), (
+                    phi, valid, neighbors)
 
     def test_invalid_rows_stay_zero(self):
-        adj = build_adjacency(np.zeros((1, 2)), np.zeros((1, 2), dtype=bool),
-                              neighbors=1)
+        adj = _build_adjacency(np.zeros((1, 2)), np.zeros((1, 2), dtype=bool),
+                               neighbors=1)
         assert (adj == 0).all()
-
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            build_adjacency(np.zeros((1, 2)), np.ones((1, 2), dtype=bool),
-                            neighbors=-1)
 
 
 class TestRelationalPrototypes:
     def test_neighbourhood_means(self):
-        sets = [proto([[0.0, 0.0]]), proto([[2.0, 2.0]]), proto([[4.0, 0.0]])]
-        adj = build_adjacency(np.array([[0.9, 0.8, 0.1]]),
-                              np.ones((1, 3), dtype=bool), neighbors=1)
-        rel = relational_prototypes(adj, stacked(sets)[0])
-        # client 0 averages itself with client 1; client 2 with client 1
-        assert np.allclose(rel.r[0, 0], [1.0, 1.0])
-        assert np.allclose(rel.r[0, 1], [1.0, 1.0])
-        assert np.allclose(rel.r[0, 2], [3.0, 1.0])
-        assert rel.valid.all()
+        # g = [1, 4/3], so phi = [0.6, 2/sqrt(5), 0.8]: with M = 1 client 0
+        # pairs with client 2, and clients 1 and 2 with each other
+        sets = [proto([[1.0, 0.0]]), proto([[2.0, 1.0]]), proto([[0.0, 3.0]])]
+        col = collab(sets, neighbors=1)
+        assert col.adjacency[0].tolist() == [[1, 0, 1], [0, 1, 1], [0, 1, 1]]
+        assert np.allclose(col.relational.r[0, 0], [0.5, 1.5])
+        assert np.allclose(col.relational.r[0, 1], [1.0, 2.0])
+        assert np.allclose(col.relational.r[0, 2], [1.0, 2.0])
+        assert col.relational.valid.all()
 
     def test_rows_without_class_invalid(self):
         sets = [
             proto([[1.0, 0.0], [0.0, 0.0]], present=[True, False]),
             proto([[1.0, 1.0], [2.0, 0.0]]),
         ]
-        vectors, present = stacked(sets)
-        _, phi = phi_of(sets)
-        rel = relational_prototypes(build_adjacency(phi, present.T, 1), vectors)
+        rel = collab(sets, neighbors=1).relational
         assert rel.valid.tolist() == [[True, True], [False, True]]
         assert np.allclose(rel.r[1, 0], 0.0)
         assert np.allclose(rel.r[1, 1], [2.0, 0.0])
-
-    def test_client_count_must_match(self):
-        sets = [proto([[1.0, 0.0]])]
-        adj = build_adjacency(np.zeros((1, 2)), np.ones((1, 2), dtype=bool), 1)
-        with pytest.raises(DimensionMismatchError):
-            relational_prototypes(adj, stacked(sets)[0])
 
 
 class TestClientDiscrepancy:
@@ -290,65 +284,88 @@ class TestAggregationWeights:
 
 
 class TestConsistentPrototypes:
+    # with M = 0 every relational prototype is the client's own prototype
     def test_weighted_average(self):
-        rel = RelationalSet(
-            np.array([[[0.0, 0.0], [4.0, 8.0]]]),
-            np.ones((1, 2), dtype=bool),
-        )
-        weights = np.array([0.25, 0.75])
-        out = consistent_prototypes(rel, weights)
-        assert np.allclose(out.o[0], [3.0, 6.0])
-        assert out.present.tolist() == [True]
+        sets = [proto([[1.0, 0.0]]), proto([[4.0, 8.0]])]
+        counts = np.array([[10], [30]])
+        col = collab(sets, neighbors=0, counts=counts)
+        w = aggregation_weights(np.array([10, 30]), np.zeros(2))
+        assert np.array_equal(col.weights, w)
+        assert np.allclose(col.consistent.o[0], w[0] * np.array([1.0, 0.0])
+                           + w[1] * np.array([4.0, 8.0]))
+        assert col.consistent.present.tolist() == [True]
 
     def test_renormalizes_over_valid_clients(self):
-        rel = RelationalSet(
-            np.array([[[2.0, 0.0], [10.0, 10.0], [4.0, 2.0]]]),
-            np.array([[True, False, True]]),
-        )
-        weights = np.array([0.2, 0.5, 0.3])
-        out = consistent_prototypes(rel, weights)
-        expected = (0.2 * np.array([2.0, 0.0]) + 0.3 * np.array([4.0, 2.0])) / 0.5
-        assert np.allclose(out.o[0], expected)
+        sets = [proto([[1.0, 1.0], [2.0, 0.0]]),
+                proto([[1.0, 2.0], [0.0, 0.0]], present=[True, False]),
+                proto([[2.0, 1.0], [4.0, 2.0]])]
+        counts = np.array([[5, 3], [9, 0], [4, 4]])
+        col = collab(sets, neighbors=0, counts=counts)
+        w = col.weights
+        expected = ((w[0] * np.array([2.0, 0.0]) + w[2] * np.array([4.0, 2.0]))
+                    / (w[0] + w[2]))
+        assert np.allclose(col.consistent.o[1], expected)
+        assert col.relational.valid[1].tolist() == [True, False, True]
 
     def test_missing_class_is_not_present(self):
-        rel = RelationalSet(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
-        weights = np.array([0.5, 0.5])
-        out = consistent_prototypes(rel, weights)
-        assert out.present.tolist() == [False]
-        assert np.array_equal(out.o, np.zeros((1, 2)))
+        sets = [proto([[1.0, 0.0], [5.0, 5.0]], present=[True, False]),
+                proto([[0.0, 1.0], [5.0, 5.0]], present=[True, False])]
+        col = collab(sets)
+        assert col.consistent.present.tolist() == [True, False]
+        assert np.array_equal(col.consistent.o[1], np.zeros(2))
 
-    def test_weight_shape_checked(self):
-        rel = RelationalSet(np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool))
-        weights = np.full(3, 1 / 3)
-        with pytest.raises(DimensionMismatchError):
-            consistent_prototypes(rel, weights)
+
+def reference_collaboration(sets, counts, neighbors):
+    """The paper's definitions, entry by entry."""
+    vectors, present = stacked(sets)
+    num_clients, num_classes, d = vectors.shape
+    g = np.zeros((num_classes, d))
+    phi = np.zeros((num_classes, num_clients))
+    for j in range(num_classes):
+        holders = np.flatnonzero(present[:, j])
+        if holders.size:
+            g[j] = vectors[holders, j].mean(axis=0)
+        for k in holders:
+            phi[j, k] = g[j] @ vectors[k, j] / (np.linalg.norm(g[j])
+                                                * np.linalg.norm(vectors[k, j]))
+    adj = sorted_adjacency(phi, present.T, neighbors)
+    r = np.zeros((num_classes, num_clients, d))
+    for j in range(num_classes):
+        for k in np.flatnonzero(present[:, j]):
+            r[j, k] = vectors[np.flatnonzero(adj[j, k]), j].mean(axis=0)
+    disc = np.array([client_discrepancy(row) for row in counts])
+    w = aggregation_weights(counts.sum(axis=1), disc)
+    o = np.zeros((num_classes, d))
+    for j in range(num_classes):
+        holders = np.flatnonzero(present[:, j])
+        if holders.size:
+            o[j] = (w[holders, None] * r[j, holders]).sum(axis=0) / w[holders].sum()
+    return g, phi, adj, r, present.T, disc, w, o, present.any(axis=0)
 
 
 class TestBuildCollaboration:
-    def test_matches_manual_pipeline(self):
+    def test_matches_reference_definitions(self):
         rng = np.random.default_rng(2)
-        sets = [proto(rng.standard_normal((3, 4)) + 2.0, owner=k + 1)
-                for k in range(4)]
-        counts = rng.integers(1, 20, size=(4, 3))
-        col = build_collaboration(sets, counts, neighbors=2)
-
-        vectors, present = stacked(sets)
-        g, phi = phi_of(sets)
-        adj = build_adjacency(phi, present.T, 2)
-        rel = relational_prototypes(adj, vectors)
-        d = np.array([client_discrepancy(row) for row in counts])
-        w = aggregation_weights(counts.sum(axis=1), d)
-        out = consistent_prototypes(rel, w)
-
-        assert np.array_equal(col.global_prototypes, g)
-        assert np.array_equal(col.phi, phi)
-        assert np.array_equal(col.adjacency, adj)
-        assert np.array_equal(col.relational.r, rel.r)
-        assert np.array_equal(col.relational.valid, rel.valid)
-        assert np.array_equal(col.discrepancies, d)
-        assert np.array_equal(col.weights, w)
-        assert np.array_equal(col.consistent.o, out.o)
-        assert np.array_equal(col.consistent.present, out.present)
+        for _ in range(30):
+            num_clients, num_classes = rng.integers(1, 8), rng.integers(2, 6)
+            present = rng.random((num_clients, num_classes)) < 0.7
+            present[:, 0] = True
+            sets = [proto(rng.standard_normal((num_classes, 4)) + 2.0, present[k],
+                          owner=k + 1) for k in range(num_clients)]
+            counts = rng.integers(1, 20, size=(num_clients, num_classes)) * present
+            neighbors = int(rng.integers(0, 4))
+            col = build_collaboration(sets, counts, neighbors)
+            g, phi, adj, r, valid, disc, w, o, held = reference_collaboration(
+                sets, counts, neighbors)
+            assert np.allclose(col.global_prototypes, g, rtol=0, atol=1e-12)
+            assert np.allclose(col.phi, phi, rtol=0, atol=1e-12)
+            assert np.array_equal(col.adjacency, adj)
+            assert np.allclose(col.relational.r, r, rtol=0, atol=1e-12)
+            assert np.array_equal(col.relational.valid, valid)
+            assert np.array_equal(col.discrepancies, disc)
+            assert np.array_equal(col.weights, w)
+            assert np.allclose(col.consistent.o, o, rtol=0, atol=1e-12)
+            assert np.array_equal(col.consistent.present, held)
 
     def test_counts_shape_checked(self):
         sets = [proto(np.ones((2, 3)))]
@@ -367,6 +384,24 @@ class TestBuildCollaboration:
     def test_needs_at_least_one_set(self):
         with pytest.raises(InvalidArgumentError):
             build_collaboration([], np.ones((0, 3)), neighbors=1)
+
+    @pytest.mark.parametrize("num_clients", [2, 5])
+    @pytest.mark.parametrize("neighbors, message", [
+        (-1, r"^neighbors must be >= 0$"),
+        (1.5, r"^neighbors must be an integer, got 1\.5$"),
+        (2.0, r"^neighbors must be an integer, got 2\.0$"),
+        (True, r"^neighbors must be an integer, got True$"),
+        ("1", r"^neighbors must be an integer, got '1'$"),
+    ])
+    def test_neighbors_must_be_a_nonnegative_integer(self, num_clients, neighbors,
+                                                     message):
+        sets = [proto(np.eye(3) + k, owner=k + 1) for k in range(num_clients)]
+        counts = np.ones((num_clients, 3))
+        with pytest.raises(InvalidArgumentError, match=message):
+            build_collaboration(sets, counts, neighbors)
+        # a numpy integer is an integer
+        col = build_collaboration(sets, counts, np.int64(1))
+        assert (col.adjacency.sum(axis=2) == 2).all()
 
     def test_partial_presence_flows_through(self):
         sets = [

@@ -72,6 +72,15 @@ class TestTheoryConstants:
             with pytest.raises(InvalidConstantsError):
                 constants(**bad)
 
+    @pytest.mark.parametrize("name", ["num_classes", "m", "local_epochs"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(InvalidConstantsError,
+                           match=rf"^{name} must be an integer, got {value!r}$"):
+            constants(**{name: value})
+        # a numpy integer is an integer
+        assert getattr(constants(**{name: np.int64(2)}), name) == 2
+
     def test_optional_fields_accepted(self):
         c = constants(xi=0.5, l0=2.0, l_star=0.1)
         assert c.xi == 0.5
