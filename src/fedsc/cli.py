@@ -9,7 +9,8 @@ INI-style config file of ``key = value`` lines under ``[data]``,
 ``[partition]``, ``[federation]`` and ``[output]`` sections, then flags.
 Every ``[partition]`` and ``[federation]`` key, and its flag, is the
 same-named field of :class:`PartitionConfig`, :class:`FederationConfig` or
-:class:`OptimizerConfig` and takes its type and default from there; only the
+:class:`OptimizerConfig` and takes its type and default from there, except
+that ``threads`` defaults to the CPUs this process may use; only the
 ``[data]`` knobs and the output directory live in :class:`RunConfig`.
 Unknown config keys are hard errors.  Exit codes: 0 success, 2 configuration
 error, 3 runtime error.
@@ -43,6 +44,7 @@ from .federation import (
     read_metrics_csv,
     rounds_to_accuracy,
     run_experiment,
+    usable_cpus,
     write_metrics_csv,
     write_run_metadata,
 )
@@ -134,8 +136,9 @@ def _resolve_run_config(
     args: argparse.Namespace,
 ) -> tuple[RunConfig, PartitionConfig, FederationConfig]:
     """Layer defaults, preset, config file and flags, then build the three
-    configs; any invalid value is a config error."""
-    values: dict = {}
+    configs; any invalid value is a config error.  ``threads`` defaults to
+    the usable CPUs, so clients train on every one of them."""
+    values: dict = {"threads": usable_cpus()}
     if args.preset:
         if args.preset not in _PRESETS:
             raise InvalidConfigError(f"unknown preset '{args.preset}'")

@@ -16,6 +16,7 @@ from .errors import (
     InvalidArgumentError,
     MalformedHeaderError,
     TruncatedFileError,
+    check_float_fields,
     check_int,
     check_int_fields,
 )
@@ -42,6 +43,7 @@ class Dataset:
 
     def __post_init__(self):
         check_int_fields(self)
+        check_float_fields(self)
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
         labels = np.ascontiguousarray(self.labels)
         if self.features.ndim != 2:
@@ -113,6 +115,7 @@ class PartitionConfig:
 
     def __post_init__(self):
         check_int_fields(self)
+        check_float_fields(self)
         if self.scheme not in ("dirichlet", "biased"):
             raise InvalidArgumentError(f"unknown partition scheme '{self.scheme}'")
         if self.num_clients < 2:

@@ -7,7 +7,7 @@ failures in a machine-greppable form (``fedsc: <code>: message``).
 from __future__ import annotations
 
 from dataclasses import fields
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class FedscError(Exception):
@@ -96,3 +96,18 @@ def check_int_fields(obj, error=InvalidArgumentError) -> None:
     for f in fields(obj):
         if f.type in ("int", int):
             check_int(f.name, getattr(obj, f.name), error)
+
+
+def check_float_fields(obj, error=InvalidArgumentError) -> None:
+    """Reject anything but a real, non-bool number (``"0.1"`` and ``True``
+    included) in every ``float``-annotated dataclass field with ``error``,
+    naming the field; a ``float | None`` field may also hold ``None``."""
+    for f in fields(obj):
+        optional = f.type in ("float | None", float | None)
+        if not optional and f.type not in ("float", float):
+            continue
+        value = getattr(obj, f.name)
+        if value is None and optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise error(f"{f.name} must be a real number, got {value!r}")

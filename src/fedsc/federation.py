@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -22,8 +23,10 @@ from .data import ClientDataset, Dataset, PartitionConfig, partition_dataset
 from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
+    FedscError,
     InvalidArgumentError,
     MalformedCsvError,
+    check_float_fields,
     check_int_fields,
 )
 from .losses import CPDR_NORMS, DEFAULT_CPDR_NORM, compute_normalizers, total_loss
@@ -70,6 +73,7 @@ class FederationConfig:
 
     def __post_init__(self):
         check_int_fields(self)
+        check_float_fields(self)
         if self.rounds < 1:
             raise InvalidArgumentError("rounds must be >= 1")
         if self.num_clients < 1:
@@ -148,6 +152,32 @@ def run_client(
     round_index: int,
     relational: RelationalSet | None = None,
     consistent: ConsistentSet | None = None,
+    *,
+    workers: Executor | None = None,
+) -> ClientUpdate:
+    """Train one client: in this process, or in one of ``workers`` while
+    this call waits for the update.
+
+    A ``FedscError`` from the local work is raised again as the same class
+    with ``round R, client K: `` before its message, wherever it trained.
+    """
+    task = (global_params, dataset, config, round_index, relational, consistent)
+    try:
+        if workers is None:
+            return _train_client(*task)
+        return workers.submit(_train_client, *task).result()
+    except FedscError as exc:
+        raise type(exc)(f"round {round_index}, client {dataset.client_id}: "
+                        f"{exc}") from exc
+
+
+def _train_client(
+    global_params: ModelParams,
+    dataset: ClientDataset,
+    config: FederationConfig,
+    round_index: int,
+    relational: RelationalSet | None,
+    consistent: ConsistentSet | None,
 ) -> ClientUpdate:
     """Local epochs of minibatch SGD, then prototypes from the final extractor.
 
@@ -215,21 +245,68 @@ def aggregate_models(
     return base.with_flat(acc)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _ClientPool:
+    """Trains a round's clients on ``min(threads, usable CPUs)`` worker
+    processes, or in this process when that is 1.
+
+    The workers are forked at the first round that uses them and live until
+    :meth:`close`.  Python 3.11's ``ProcessPoolExecutor`` forks every worker
+    at its first submit, from the submitting thread, so that submit is made
+    here, on the calling thread, before any dispatch thread exists.  The
+    process machinery is imported only then, so serial runs never load it.
+    """
+
+    def __init__(self, config: FederationConfig):
+        self.size = min(config.threads, usable_cpus())
+        self._executor = None
+
+    def map(self, train, clients: list[ClientDataset]) -> list[ClientUpdate]:
+        """``train(client, workers)`` for every client, in client order."""
+        if self.size == 1:
+            return [train(client, None) for client in clients]
+        if self._executor is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(
+                self.size, mp_context=multiprocessing.get_context("fork"))
+            self._executor.submit(int)
+        # one thread per worker calls run_client and waits for its update
+        with ThreadPoolExecutor(max_workers=self.size) as dispatch:
+            return list(dispatch.map(lambda c: train(c, self._executor), clients))
+
+    def close(self) -> None:
+        """Shut the workers down and wait for them to exit."""
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+
 def run_round(
     state: ServerState,
     clients: list[ClientDataset],
     config: FederationConfig,
     rng: np.random.Generator,
     test: Dataset,
+    *,
+    pool: _ClientPool | None = None,
 ) -> tuple[ServerState, RoundMetrics]:
     """One federated round: sample, train, aggregate, rebuild prototypes.
 
     Only fedsc clients receive the relational and consistent prototypes.
-    Clients run independently (on a thread pool when ``config.threads`` > 1);
-    updates are merged in the order of ``clients`` and the prototype rebuild
-    walks clients in ascending id order, so results do not depend on
-    scheduling.  An empty ``test`` raises ``EmptyDatasetError`` before the
-    round starts, leaving ``state`` untouched.
+    Clients train independently, on worker processes when ``config.threads``
+    and the usable CPUs are both above 1: in ``pool``, which
+    :func:`run_experiment` keeps for the whole run, or else in a pool for
+    this call only.  Updates are merged in the order of ``clients`` and the
+    prototype rebuild walks clients in ascending id order, so results do not
+    depend on scheduling.  An empty ``test`` raises ``EmptyDatasetError``
+    before the round starts, leaving ``state`` untouched.
     """
     if test.num_samples == 0:
         raise EmptyDatasetError("cannot evaluate on zero samples")
@@ -243,15 +320,16 @@ def run_round(
     relational, consistent = ((state.relational, state.consistent)
                               if config.algorithm == "fedsc" else (None, None))
 
-    def train(client: ClientDataset) -> ClientUpdate:
+    def train(client: ClientDataset, workers: Executor | None) -> ClientUpdate:
         return run_client(state.params, client, config, state.round_index,
-                          relational, consistent)
+                          relational, consistent, workers=workers)
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            updates = list(pool.map(train, chosen))
-    else:
-        updates = [train(c) for c in chosen]
+    round_pool = pool if pool is not None else _ClientPool(config)
+    try:
+        updates = round_pool.map(train, chosen)
+    finally:
+        if round_pool is not pool:
+            round_pool.close()
 
     state.params = aggregate_models(
         [(u.params, c.num_samples) for u, c in zip(updates, chosen)])
@@ -281,6 +359,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Partition a dataset, run the configured number of rounds, return metrics.
 
+    Clients of every round share one set of worker processes (see
+    :func:`run_round`), which is shut down when this returns or raises.
+
     Both sets must be nonempty.  Every round is evaluated on ``test``, which
     must have the dataset's dim and class count.  The partition's client
     count must match the federation config.
@@ -308,9 +389,14 @@ def run_experiment(
     state = ServerState(params)
     sampler = np.random.default_rng(np.random.SeedSequence((config.seed, _TAG_SAMPLE)))
     metrics = []
-    for _ in range(config.rounds):
-        state, round_metrics = run_round(state, clients, config, sampler, test)
-        metrics.append(round_metrics)
+    pool = _ClientPool(config)
+    try:
+        for _ in range(config.rounds):
+            state, round_metrics = run_round(state, clients, config, sampler, test,
+                                             pool=pool)
+            metrics.append(round_metrics)
+    finally:
+        pool.close()
     return ExperimentResult(metrics, state)
 
 

@@ -19,6 +19,7 @@ from .errors import (
     EmptyDatasetError,
     InvalidArgumentError,
     NonfiniteGradientError,
+    check_float_fields,
     check_int_fields,
 )
 
@@ -118,6 +119,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         check_int_fields(self)
+        check_float_fields(self)
         if not 0 <= self.learning_rate < np.inf:
             raise InvalidArgumentError("learning_rate must be finite and >= 0")
         if not 0 <= self.momentum < 1:

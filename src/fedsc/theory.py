@@ -30,6 +30,7 @@ from .errors import (
     InsufficientTraceError,
     InvalidConstantsError,
     NoFeasibleRateError,
+    check_float_fields,
     check_int_fields,
 )
 
@@ -56,6 +57,7 @@ class TheoryConstants:
 
     def __post_init__(self):
         check_int_fields(self, InvalidConstantsError)
+        check_float_fields(self, InvalidConstantsError)
         for name in ("l1", "l2", "b", "sigma_sq", "eta", "xi", "l0", "l_star"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):

@@ -5,7 +5,7 @@ import pytest
 
 from fedsc.cli import _SCHEMA, RunConfig, _build_parser, _resolve_run_config, main
 from fedsc.data import PartitionConfig, load_dataset, save_dataset
-from fedsc.federation import FederationConfig, read_metrics_csv
+from fedsc.federation import FederationConfig, read_metrics_csv, usable_cpus
 from fedsc.model import OptimizerConfig
 from fedsc.theory import (
     TheoryConstants,
@@ -153,14 +153,28 @@ class TestRun:
         assert stable_rows(tmp_path / "a" / "metrics_fedsc.csv") \
             == stable_rows(tmp_path / "b" / "metrics_fedsc.csv")
 
-    def test_default_is_one_thread_and_zero_is_rejected(self, tmp_path):
+    def test_default_is_the_usable_cpus_and_zero_is_rejected(self, tmp_path):
         at = TINY.index("--threads")
         unpinned = TINY[:at] + TINY[at + 2:]
         tiny_generate(tmp_path)
         assert run_cli("run", *unpinned, "--out", str(tmp_path)) == 0
         meta = parse_kv((tmp_path / "meta_fedsc.txt").read_text())
-        assert meta["threads"] == "1"
+        assert meta["threads"] == str(usable_cpus())
         assert tiny_run(tmp_path, ("--threads", "0")) == 2
+
+    # forked workers inherit the suite's error::RuntimeWarning filter
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_client_errors_say_round_and_client(self, tmp_path, capsys):
+        common = ["--preset", "desk", "--seed", "1", "--out", str(tmp_path)]
+        assert run_cli("generate", *common) == 0
+        last = []
+        for threads in ("1", "2"):
+            capsys.readouterr()
+            assert run_cli("run", *common, "--learning-rate", "1e8", "--rounds", "2",
+                           "--threads", threads) == 3
+            last.append(capsys.readouterr().err.splitlines()[-1])
+        assert last[0] == last[1]
+        assert last[0].startswith("fedsc: nonfinite-gradient: round 1, client ")
 
     def test_nonfinite_feature_names_file_and_row(self, tmp_path, capsys):
         tiny_generate(tmp_path)
@@ -317,7 +331,8 @@ class TestConfigLayering:
             cfg, partition, federation = _resolve_run_config(args)
             assert cfg == RunConfig()
             assert partition == PartitionConfig()
-            assert federation == FederationConfig()
+            # the command line trains on every usable CPU by default
+            assert federation == FederationConfig(threads=usable_cpus())
             assert federation.optimizer == OptimizerConfig()
 
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Federated rounds: client training, aggregation, determinism, metrics IO."""
 
 from dataclasses import make_dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fedsc.errors import (
     EmptyDatasetError,
     InvalidArgumentError,
     MalformedCsvError,
+    check_float_fields,
     check_int_fields,
 )
 from fedsc.federation import (
@@ -126,6 +128,41 @@ class TestIntegerFields:
             with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
                 owner(**{**BASE[owner], name: bad})
         owner(**{**BASE[owner], name: np.int64(3)})
+
+
+# the same check for float fields, with an optional one
+Measure = make_dataclass("Measure", [("rate", float), ("cap", float | None)],
+                         namespace={"__post_init__": check_float_fields})
+FLOAT_FIELDS = [
+    (FederationConfig, "participation_fraction"), (FederationConfig, "temperature"),
+    (OptimizerConfig, "learning_rate"), (OptimizerConfig, "momentum"),
+    (OptimizerConfig, "weight_decay"), (PartitionConfig, "alpha"),
+    (Measure, "rate"), (Measure, "cap"),
+]
+
+
+class TestFloatFields:
+    @pytest.mark.parametrize("owner,name", FLOAT_FIELDS,
+                             ids=lambda x: getattr(x, "__name__", x))
+    def test_non_numbers_rejected_naming_the_field(self, owner, name):
+        base = dict(rate=0.5, cap=0.5) if owner is Measure else {}
+        for bad in ("0.1", True, [0.5], 0.5j):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"^{name} must be a real number"):
+                owner(**{**base, name: bad})
+        for good in (np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+            owner(**{**base, name: good})
+
+    def test_integers_are_numbers(self):
+        assert OptimizerConfig(learning_rate=1).learning_rate == 1
+        assert PartitionConfig(alpha=2).alpha == 2
+
+    def test_none_only_where_the_field_is_optional(self):
+        assert Measure(rate=1.0, cap=None).cap is None
+        with pytest.raises(InvalidArgumentError, match="^rate must be a real number"):
+            Measure(rate=None, cap=1.0)
+        with pytest.raises(InvalidArgumentError, match="^learning_rate must be"):
+            OptimizerConfig(learning_rate=None)
 
 
 class TestRunClient:

@@ -81,6 +81,20 @@ class TestTheoryConstants:
         # a numpy integer is an integer
         assert getattr(constants(**{name: np.int64(2)}), name) == 2
 
+    @pytest.mark.parametrize("name", ["l1", "l2", "b", "sigma_sq", "eta",
+                                      "xi", "l0", "l_star"])
+    @pytest.mark.parametrize("value", ["1.0", True, [1.0]])
+    def test_reals_must_be_numbers(self, name, value):
+        with pytest.raises(InvalidConstantsError,
+                           match=rf"^{name} must be a real number, got "):
+            constants(**{name: value})
+
+    @pytest.mark.parametrize("name", ["l1", "l2", "b", "sigma_sq", "eta"])
+    def test_required_reals_reject_none(self, name):
+        with pytest.raises(InvalidConstantsError,
+                           match=rf"^{name} must be a real number, got None$"):
+            constants(**{name: None})
+
     def test_optional_fields_accepted(self):
         c = constants(xi=0.5, l0=2.0, l_star=0.1)
         assert c.xi == 0.5
