@@ -136,8 +136,7 @@ def _resolve_run_config(
     args: argparse.Namespace,
 ) -> tuple[RunConfig, PartitionConfig, FederationConfig]:
     """Layer defaults, preset, config file and flags, then build the three
-    configs; any invalid value is a config error.  ``threads`` defaults to
-    the usable CPUs, so clients train on every one of them."""
+    configs; any invalid value is a config error."""
     values: dict = {"threads": usable_cpus()}
     if args.preset:
         if args.preset not in _PRESETS:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -88,11 +89,24 @@ def test_one_pool_per_run_and_no_child_left(two_cpus, client_calls):
     assert multiprocessing.active_children() == []
 
 
-def test_workers_match_serial_bit_for_bit(two_cpus):
-    serial = run_experiment(*tiny_inputs(threads=1, algorithm="fedsc"))
-    pooled = run_experiment(*tiny_inputs(threads=2, algorithm="fedsc"))
-    assert serial.state.params.flat.tobytes() == pooled.state.params.flat.tobytes()
-    assert [m.loss_rpcl for m in serial.metrics] == [m.loss_rpcl for m in pooled.metrics]
+def test_workers_fork_on_the_calling_thread_in_the_first_round(two_cpus, monkeypatch):
+    # a fork from a dispatch thread could copy a lock another thread holds,
+    # and a fork before the first round would be counted as set-up
+    rounds, forks = [], []
+    start, run_round_ = multiprocessing.process.BaseProcess.start, ffed.run_round
+
+    def recorded_start(process):
+        forks.append((threading.current_thread(), len(rounds)))
+        start(process)
+
+    def recorded_round(*args, **kwargs):
+        rounds.append(1)
+        return run_round_(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recorded_start)
+    monkeypatch.setattr(ffed, "run_round", recorded_round)
+    run_experiment(*tiny_inputs(threads=2))
+    assert forks == [(threading.main_thread(), 1)] * 2
 
 
 def test_one_usable_cpu_trains_in_this_process(monkeypatch, client_calls):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fedsc.federation as federation
 from fedsc.data import (
     ClientDataset,
     Dataset,
@@ -330,7 +331,9 @@ class TestRunExperiment:
         assert np.array_equal(a.state.params.flat, b.state.params.flat)
         assert [m.accuracy for m in a.metrics] == [m.accuracy for m in b.metrics]
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
+        # two usable CPUs, so the pooled run trains on two worker processes
+        monkeypatch.setattr(federation, "usable_cpus", lambda: 2)
         ds = small_dataset()
         serial = small_run(small_config(rounds=3), ds)
         pooled = small_run(small_config(rounds=3, threads=4), ds)

@@ -191,8 +191,7 @@ def main(argv=None) -> int:
     for side, root in roots.items():
         if "tier1" not in sides.get(side, {}):
             print(f"tier-1 on the {side} side ...", file=sys.stderr, flush=True)
-            sides[side] = {"dir": str(root), "git_sha": git_sha(root),
-                           "tier1": run_tier1(root)}
+            sides[side] = {"git_sha": git_sha(root), "tier1": run_tier1(root)}
     results = bench.get("results", {})
     keep = args.out.parent / (args.out.stem + "-runs")
     keep.mkdir(exist_ok=True)
@@ -225,13 +224,13 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(bench, separators=(",", ":")))
     shutil.rmtree(keep)
-    for group, summary in bench["summary"].items():
-        if "pairs" in summary:
-            for name, entry in summary.items():
-                if isinstance(entry, dict) and "verdict" in entry:
-                    print(f"{group} {name}: {entry['parent']['median']:.6g} -> "
-                          f"{entry['change']['median']:.6g}, change won "
-                          f"{entry['change_wins']}/{summary['pairs']}, {entry['verdict']}")
+    for group in groups.values():
+        summary = bench["summary"].get(group, {})
+        for name, entry in summary.items():
+            if isinstance(entry, dict) and "verdict" in entry:
+                print(f"{group} {name}: {entry['parent']['median']:.6g} -> "
+                      f"{entry['change']['median']:.6g}, change won "
+                      f"{entry['change_wins']}/{summary['pairs']}, {entry['verdict']}")
     return 0
 
 
