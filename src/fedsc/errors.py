@@ -84,6 +84,10 @@ class MalformedCsvError(FedscError, ValueError):
     code = "malformed-csv"
 
 
+class WorkerLostError(FedscError, RuntimeError):
+    code = "worker-lost"
+
+
 def check_int(name: str, value, error=InvalidArgumentError) -> None:
     """Reject anything but a Python or numpy integer (``3.0``, ``"3"`` and
     ``True`` included) with ``error``, naming the argument."""

@@ -14,7 +14,7 @@ import csv
 import math
 import os
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     FedscError,
     InvalidArgumentError,
     MalformedCsvError,
+    WorkerLostError,
     check_float_fields,
     check_int_fields,
 )
@@ -35,6 +36,7 @@ from .model import (
     OptimizerConfig,
     backward,
     evaluate_accuracy,
+    extract_features,
     forward_features,
     init_params,
     sgd_step,
@@ -159,16 +161,20 @@ def run_client(
     this call waits for the update.
 
     A ``FedscError`` from the local work is raised again as the same class
-    with ``round R, client K: `` before its message, wherever it trained.
+    with ``round R, client K: `` before its message, wherever it trained.  A
+    worker that died, leaving ``workers`` broken, raises ``WorkerLostError``
+    with the same prefix.
     """
     task = (global_params, dataset, config, round_index, relational, consistent)
+    where = f"round {round_index}, client {dataset.client_id}"
     try:
         if workers is None:
             return _train_client(*task)
         return workers.submit(_train_client, *task).result()
     except FedscError as exc:
-        raise type(exc)(f"round {round_index}, client {dataset.client_id}: "
-                        f"{exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
+    except BrokenExecutor as exc:
+        raise WorkerLostError(f"{where}: client worker process died") from exc
 
 
 def _train_client(
@@ -185,7 +191,10 @@ def _train_client(
     applies exactly when both relational and consistent prototypes are
     given; otherwise training is plain cross-entropy.  The server decides
     which: :func:`run_round` sends fedavg clients none.  Distance normalizers
-    are recomputed from a feature snapshot at the start of every epoch.
+    are recomputed from a feature snapshot at the start of every epoch.  The
+    snapshot and the final prototypes read whole-shard features from
+    ``extract_features``, which streams the shard in row blocks; only the
+    step's minibatches keep activations for backward.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _TAG_CLIENT, round_index,
@@ -202,7 +211,7 @@ def _train_client(
     for _ in range(config.local_epochs):
         context = None
         if relational is not None:
-            snapshot = forward_features(params, x).z
+            snapshot = extract_features(params, x)
             context = compute_normalizers(snapshot, relational, config.temperature)
         order = rng.permutation(dataset.num_samples)
         # each epoch's minibatches are consecutive slices of one shuffled copy
@@ -217,7 +226,7 @@ def _train_client(
             sums += (breakdown.ce, breakdown.rpcl, breakdown.cpdr, breakdown.total)
             batches += 1
 
-    final_z = forward_features(params, x).z
+    final_z = extract_features(params, x)
     prototypes = prototypes_from_features(final_z, y, dataset.num_classes,
                                           owner=dataset.client_id)
     ce, rpcl, cpdr, tot = (sums / batches).tolist()

@@ -46,7 +46,7 @@ from .errors import (
     NoNegativePrototypeError,
     NoPositivePrototypeError,
 )
-from .model import FeatureBatch, ModelParams, forward_logits
+from .model import _BLOCK_ROWS, FeatureBatch, ModelParams, forward_logits
 from .prototypes import ConsistentSet, RelationalSet
 
 _EPS = 1e-12
@@ -132,9 +132,14 @@ def compute_normalizers(
         )
     valid = relational.valid
     r = relational.r[valid]
-    # ||z - r||^2 = ||z||^2 + ||r||^2 - 2 z.r, clipped against rounding
-    sq = np.sum(feats**2, axis=1)[:, None] + np.sum(r**2, axis=1)[None, :]
-    sq -= 2.0 * feats @ r.T
+    # ||z - r||^2 = (||z||^2 + ||r||^2) - 2 z.r, clipped against rounding; the
+    # cross term is one product (a row block of it may differ in the last
+    # bit), turned into the squared distance a block of rows at a time
+    zz, rr = np.sum(feats**2, axis=1), np.sum(r**2, axis=1)
+    sq = 2.0 * feats @ r.T
+    for start in range(0, len(sq), _BLOCK_ROWS):
+        block = sq[start:start + _BLOCK_ROWS]
+        np.subtract(zz[start:start + _BLOCK_ROWS, None] + rr, block, out=block)
     np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
     u = np.zeros(valid.shape)

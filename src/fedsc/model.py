@@ -26,8 +26,8 @@ from .errors import (
 # weight fields in declaration order
 _FIELDS = ("w1", "b1", "w2", "b2", "v", "c")
 
-# evaluate_accuracy runs the extractor on this many test rows at a time
-_EVAL_ROWS = 512
+# extract_features and evaluate_accuracy work on this many rows at a time
+_BLOCK_ROWS = 512
 
 
 class ModelParams:
@@ -176,6 +176,39 @@ def forward_logits(params: ModelParams, z: np.ndarray) -> np.ndarray:
     return z @ params.v + params.c
 
 
+def extract_features(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """The features z of every row, with nothing cached for backward.
+
+    The extractor runs on blocks of ``_BLOCK_ROWS`` rows through one hidden
+    buffer, so its activations never hold more than a block, and z is
+    bitwise ``forward_features(params, inputs).z``.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.d_in:
+        raise DimensionMismatchError(
+            f"inputs of shape {x.shape} do not match d_in={params.d_in}"
+        )
+    n = len(x)
+    # numpy multiplies a lone row as a matrix-vector product, whose sums may
+    # differ in the last bit from the matrix product's, so the block before a
+    # lone last row takes it
+    bounds = list(range(0, n, _BLOCK_ROWS))
+    if n > 1 and n % _BLOCK_ROWS == 1:
+        bounds.pop()
+    bounds.append(n)
+    z = np.empty((n, params.feature_dim))
+    buf = np.empty((min(n, _BLOCK_ROWS + 1), params.hidden))
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = x[start:stop]
+        hidden, out = buf[:len(rows)], z[start:stop]
+        np.matmul(rows, params.w1, out=hidden)
+        hidden += params.b1
+        np.maximum(hidden, 0.0, out=hidden)
+        np.matmul(hidden, params.w2, out=out)
+        out += params.b2
+    return z
+
+
 def backward(
     params: ModelParams,
     batch: FeatureBatch,
@@ -238,10 +271,11 @@ def evaluate_accuracy(params: ModelParams, features: np.ndarray,
                       labels: np.ndarray) -> float:
     """Fraction of samples whose argmax logit matches the 1-based label.
 
-    The extractor runs on blocks of ``_EVAL_ROWS`` rows, so its hidden
-    activations never hold the whole set.  Zero samples raise
-    ``EmptyDatasetError``: their accuracy is undefined.  A label count other
-    than the sample count raises ``DimensionMismatchError``.
+    Each block of ``_BLOCK_ROWS`` test rows goes through the extractor, the
+    classifier and the argmax on its own, so no intermediate spans the set.
+    Zero samples raise ``EmptyDatasetError``: their accuracy is undefined.  A
+    label count other than the sample count raises
+    ``DimensionMismatchError``.
     """
     if len(features) == 0:
         raise EmptyDatasetError("cannot evaluate on zero samples")
@@ -250,7 +284,9 @@ def evaluate_accuracy(params: ModelParams, features: np.ndarray,
         raise DimensionMismatchError(
             f"labels shape {labels.shape} does not match {len(features)} samples"
         )
-    z = np.concatenate([forward_features(params, features[i:i + _EVAL_ROWS]).z
-                        for i in range(0, len(features), _EVAL_ROWS)])
-    pred = np.argmax(forward_logits(params, z), axis=1) + 1
-    return float(np.mean(pred == labels))
+    correct = 0
+    for start in range(0, len(features), _BLOCK_ROWS):
+        z = extract_features(params, features[start:start + _BLOCK_ROWS])
+        pred = np.argmax(forward_logits(params, z), axis=1) + 1
+        correct += np.count_nonzero(pred == labels[start:start + _BLOCK_ROWS])
+    return correct / len(features)

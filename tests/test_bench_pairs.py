@@ -60,3 +60,44 @@ def side(runs):
 ])
 def test_verdict(parent, change, wins, lower, expected):
     assert bench_pairs.verdict(side(parent), side(change), wins, 10, lower, 0.2) == expected
+
+
+def synthetic_runs(parent_values, change_values):
+    """One group's runs in pair order; a value of None is a run that crashed."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent_values, change_values), 1):
+        for side, value in (("parent", p), ("change", c)):
+            result = None if value is None else {
+                "trace": 0, "failed": 0,
+                "metrics": {m["name"]: value for m in declared}}
+            runs.append({"pair": pair, "side": side, "result": result})
+    return runs, declared
+
+
+def test_crashed_runs_are_counted_and_forbid_a_gain():
+    # every metric lower on the change in the one complete pair, but 2 of
+    # the 3 change runs crashed
+    runs, declared = synthetic_runs([10.0, 10.0, 10.0], [5.0, None, None])
+    summary = bench_pairs.summarize({"g": runs}, declared)["g"]
+    assert summary["no_result"] == {"parent": 0, "change": 2}
+    assert summary["pairs"] == 1
+    verdicts = {entry["verdict"] for entry in summary.values()
+                if isinstance(entry, dict) and "verdict" in entry}
+    assert "gain" not in verdicts
+    lines = bench_pairs.report("g", summary)
+    assert lines and all("no result parent 0 change 2" in line for line in lines)
+    # the same pair without the crashed runs is a gain on the lower-is-better
+    # metrics
+    clean = bench_pairs.summarize({"g": runs[:2]}, declared)["g"]
+    assert clean["no_result"] == {"parent": 0, "change": 0}
+    assert clean["wall_s"]["verdict"] == "gain"
+
+
+def test_a_group_whose_runs_all_crashed_stays_in_the_summary():
+    runs, declared = synthetic_runs([None, None], [None, 4.0])
+    runs = runs[:3]  # the change's second run never happened
+    summary = bench_pairs.summarize({"g": runs}, declared)["g"]
+    assert summary == {"no_result": {"parent": 2, "change": 1}}
+    assert bench_pairs.report("g", summary) == [
+        "g: every run crashed, no result parent 2 change 1"]

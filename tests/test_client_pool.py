@@ -7,6 +7,7 @@ forks the same two workers on any host.
 import concurrent.futures
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -157,6 +158,7 @@ def test_a_dead_worker_fails_the_run_instead_of_hanging():
     result = run_script("""
         import os
         from concurrent.futures.process import BrokenProcessPool
+        from fedsc.errors import WorkerLostError
 
         parent, step = os.getpid(), ffed.sgd_step
 
@@ -168,12 +170,38 @@ def test_a_dead_worker_fails_the_run_instead_of_hanging():
         ffed.sgd_step = dying_step
         try:
             tiny(2)
-        except BrokenProcessPool:
+        except WorkerLostError as exc:
             import multiprocessing
-            print("broken", multiprocessing.active_children())
+            print(isinstance(exc.__cause__, BrokenProcessPool), exc,
+                  multiprocessing.active_children())
     """)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "broken []"
+    assert re.fullmatch(r"True round 1, client \d+: client worker process died \[\]",
+                        result.stdout.strip()), result.stdout
+
+
+def test_a_dead_worker_ends_the_cli_with_a_located_error(tmp_path):
+    result = run_script(f"""
+        import os
+        import sys
+        from fedsc.cli import main
+
+        out = {str(tmp_path)!r}
+        assert main(["generate", "--preset", "desk", "--out", out]) == 0
+        parent, step = os.getpid(), ffed.sgd_step
+
+        def dying_step(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return step(*args)
+
+        ffed.sgd_step = dying_step
+        sys.exit(main(["run", "--preset", "desk", "--threads", "2", "--rounds", "2",
+                       "--out", out]))
+    """)
+    assert result.returncode == 3, result.stderr
+    last = result.stderr.strip().splitlines()[-1]
+    assert last.startswith("fedsc: worker-lost: round 1, client "), result.stderr
 
 
 def test_workers_forked_after_blas_threads_started():

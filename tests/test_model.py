@@ -14,11 +14,12 @@ from fedsc.errors import (
 )
 from fedsc.losses import total_loss
 from fedsc.model import (
-    _EVAL_ROWS,
+    _BLOCK_ROWS,
     ModelParams,
     OptimizerConfig,
     backward,
     evaluate_accuracy,
+    extract_features,
     forward_features,
     forward_logits,
     init_params,
@@ -315,9 +316,30 @@ class TestModelParams:
                         np.zeros(2), np.zeros((2, 2)), np.zeros(2))
 
 
+class TestExtractFeatures:
+    # the acceptance head-to-head's widths and the desk preset's
+    @pytest.mark.parametrize("hidden", [128, 64])
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 1])
+    def test_bitwise_equal_to_the_training_forward(self, n, hidden):
+        params = init_params(16, hidden, 32, 10, seed=4)
+        rng = np.random.default_rng(5)
+        params.flat[:] = rng.standard_normal(params.flat.size) * 0.3  # nonzero biases
+        x = rng.standard_normal((n, 16))
+        z = extract_features(params, x)
+        assert z.flags.c_contiguous
+        assert np.array_equal(z, forward_features(params, x).z)
+
+    def test_empty_and_mismatched_inputs(self):
+        params = tiny_params()
+        assert extract_features(params, np.zeros((0, params.d_in))).shape == (0, 3)
+        with pytest.raises(DimensionMismatchError):
+            extract_features(params, np.zeros((2, params.d_in + 1)))
+
+
 class TestEvaluateAccuracy:
-    @pytest.mark.parametrize("n", [1, _EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1,
-                                   2 * _EVAL_ROWS + 1])
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 1])
     def test_matches_manual_argmax(self, n):
         # the blocked pass against one pass over every row
         params = tiny_params(seed=9)

@@ -46,18 +46,21 @@ def quartiles(values: list[float]) -> dict:
 
 
 def verdict(parent: dict, change: dict, wins: int, pairs: int, lower: bool,
-            bound: float) -> str:
+            bound: float, crashed: int = 0) -> str:
     """The rule for a measured change on a small, noisy host.
 
-    ``gain``: the change wins at least nine tenths of the pairs and its median
-    is better by more than the parent's interquartile range.  ``unresolved``:
+    ``gain``: no run of the group crashed (``crashed`` counts the runs that
+    left no result), the change wins at least nine tenths of the pairs and
+    its median is better by more than the parent's interquartile range.
+    ``unresolved``:
     either side's interquartile range is wider than ``bound`` of its median,
     unless every change run beats every parent run.  ``worse``: the median
     worsened by more than ``bound``.  Otherwise ``within bound``.
     """
     sign = 1.0 if lower else -1.0
     p_med, c_med = parent["median"], change["median"]
-    if wins >= 0.9 * pairs and sign * (p_med - c_med) > parent["q3"] - parent["q1"]:
+    if (not crashed and wins >= 0.9 * pairs
+            and sign * (p_med - c_med) > parent["q3"] - parent["q1"]):
         return "gain"
     spread = max((side["q3"] - side["q1"]) / side["median"] for side in (parent, change))
     p_runs, c_runs = parent["sorted_runs"], change["sorted_runs"]
@@ -74,13 +77,20 @@ def _by_side(runs: list[dict]) -> dict[str, list[dict]]:
             for side in ("parent", "change")}
 
 
+def _no_result(runs: list[dict]) -> dict[str, int]:
+    """Each side's runs that crashed and left no result."""
+    return {side: sum(r["side"] == side and r["result"] is None for r in runs)
+            for side in ("parent", "change")}
+
+
 def summarize_end_to_end(runs: list[dict], declared: list[dict]) -> dict:
     """Per-metric medians, quartiles, pairs won, worsening and verdict."""
     sides = _by_side(runs)
     pair_of = {side: {r["pair"]: r["result"]["metrics"] for r in sides[side]}
                for side in sides}
     pairs = sorted(set(pair_of["parent"]) & set(pair_of["change"]))
-    out: dict = {"pairs": len(pairs)}
+    no_result = _no_result(runs)
+    out: dict = {"pairs": len(pairs), "no_result": no_result}
     for metric in declared:
         name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
         parent = quartiles([r["result"]["metrics"][name] for r in sides["parent"]])
@@ -95,7 +105,8 @@ def summarize_end_to_end(runs: list[dict], declared: list[dict]) -> dict:
             "relative_worsening": worsening if lower else -worsening,
             "bound": bound,
             "parent_iqr_over_median": (parent["q3"] - parent["q1"]) / parent["median"],
-            "verdict": verdict(parent, change, wins, len(pairs), lower, bound),
+            "verdict": verdict(parent, change, wins, len(pairs), lower, bound,
+                               sum(no_result.values())),
         }
     out["failed"] = {side: sum(r["result"]["failed"] for r in sides[side])
                      for side in sides}
@@ -119,8 +130,8 @@ def summarize(results: dict, declared: list[dict]) -> dict:
     for group, runs in results.items():
         done = [r for r in runs if r["result"] is not None]
         if not done:
-            continue
-        if done[0]["result"]["trace"]:
+            summary[group] = {"no_result": _no_result(runs)}
+        elif done[0]["result"]["trace"]:
             summary[group] = summarize_per_layer(runs)
         else:
             summary[group] = summarize_end_to_end(runs, declared)
@@ -225,13 +236,25 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(bench, separators=(",", ":")))
     shutil.rmtree(keep)
     for group in groups.values():
-        summary = bench["summary"].get(group, {})
-        for name, entry in summary.items():
-            if isinstance(entry, dict) and "verdict" in entry:
-                print(f"{group} {name}: {entry['parent']['median']:.6g} -> "
-                      f"{entry['change']['median']:.6g}, change won "
-                      f"{entry['change_wins']}/{summary['pairs']}, {entry['verdict']}")
+        for line in report(group, bench["summary"].get(group, {})):
+            print(line)
     return 0
+
+
+def report(group: str, summary: dict) -> list[str]:
+    """One line per end-to-end metric of a group's summary, with the runs
+    that left no result; a group whose runs all crashed gets one line."""
+    if "no_result" not in summary:
+        return []
+    no_result = summary["no_result"]
+    crashed = f"no result parent {no_result['parent']} change {no_result['change']}"
+    if set(summary) == {"no_result"}:
+        return [f"{group}: every run crashed, {crashed}"]
+    return [f"{group} {name}: {entry['parent']['median']:.6g} -> "
+            f"{entry['change']['median']:.6g}, change won "
+            f"{entry['change_wins']}/{summary['pairs']}, {crashed}, {entry['verdict']}"
+            for name, entry in summary.items()
+            if isinstance(entry, dict) and "verdict" in entry]
 
 
 if __name__ == "__main__":
