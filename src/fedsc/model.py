@@ -149,15 +149,21 @@ def init_params(
     )
 
 
-def forward_features(
-    params: ModelParams, inputs: np.ndarray, labels: np.ndarray | None = None
-) -> FeatureBatch:
-    """Run the extractor; caches activations for backward."""
+def _checked_inputs(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """``inputs`` as a float64 (n, d_in) array for the extractor."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.d_in:
         raise DimensionMismatchError(
             f"inputs of shape {x.shape} do not match d_in={params.d_in}"
         )
+    return x
+
+
+def forward_features(
+    params: ModelParams, inputs: np.ndarray, labels: np.ndarray | None = None
+) -> FeatureBatch:
+    """Run the extractor; caches activations for backward."""
+    x = _checked_inputs(params, inputs)
     pre1 = x @ params.w1
     pre1 += params.b1
     act1 = np.maximum(pre1, 0.0)
@@ -183,11 +189,7 @@ def extract_features(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     buffer, so its activations never hold more than a block, and z is
     bitwise ``forward_features(params, inputs).z``.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.d_in:
-        raise DimensionMismatchError(
-            f"inputs of shape {x.shape} do not match d_in={params.d_in}"
-        )
+    x = _checked_inputs(params, inputs)
     n = len(x)
     # numpy multiplies a lone row as a matrix-vector product, whose sums may
     # differ in the last bit from the matrix product's, so the block before a

@@ -1,5 +1,6 @@
 """Federated rounds: client training, aggregation, determinism, metrics IO."""
 
+import tracemalloc
 from dataclasses import make_dataclass
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from fedsc.model import (
     forward_features,
     init_params,
 )
-from fedsc.prototypes import prototypes_from_features
+from fedsc.prototypes import build_collaboration, prototypes_from_features
 
 
 def small_config(**overrides):
@@ -235,6 +236,35 @@ class TestRunClient:
             for alg in ("fedavg", "fedsc"))
         assert fedavg.rpcl > 0.0 and fedavg.cpdr > 0.0
         assert fedavg.params.flat.tobytes() == fedsc.params.flat.tobytes()
+
+    def test_memory_does_not_grow_with_hidden_activations(self):
+        # whole-shard passes stream their hidden activations in row blocks:
+        # the peak holds the shard's inputs, features and distance table, and
+        # no (n, hidden) array, which at n = 20,000 and hidden 128 is 20.5 MB
+        n, d_in, hidden, d = 20_000, 16, 128, 32
+        ds = generate_gaussian_blobs(10, n // 10, d_in, 3.0, seed=0)
+        client = ClientDataset(ds.features, ds.labels, 10, client_id=1)
+        params = init_params(d_in, hidden, d, 10, seed=0)
+        z = forward_features(params, ds.features).z
+        sets = [prototypes_from_features(z[k::3], ds.labels[k::3], 10, owner=k + 1)
+                for k in range(3)]
+        counts = np.stack([np.bincount(ds.labels[k::3] - 1, minlength=10)
+                           for k in range(3)])
+        built = build_collaboration(sets, counts, neighbors=1)
+        p = int(built.relational.valid.sum())
+        config = small_config(num_clients=3, hidden_dim=hidden, feature_dim=d,
+                              algorithm="fedsc", optimizer=OptimizerConfig(batch_size=64))
+        del z
+        tracemalloc.start()
+        try:
+            update = run_client(params, client, config, 2, built.relational,
+                                built.consistent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert update.rpcl > 0.0
+        bound = 8 * n * (3 * d_in + 2 * d + p) + 4 * 2**20
+        assert peak < bound, f"peak {peak / 2**20:.1f} MB, bound {bound / 2**20:.1f} MB"
 
 
 class TestAggregateModels:

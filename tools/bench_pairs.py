@@ -52,10 +52,10 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, lower: bool,
     ``gain``: no run of the group crashed (``crashed`` counts the runs that
     left no result), the change wins at least nine tenths of the pairs and
     its median is better by more than the parent's interquartile range.
-    ``unresolved``:
-    either side's interquartile range is wider than ``bound`` of its median,
-    unless every change run beats every parent run.  ``worse``: the median
-    worsened by more than ``bound``.  Otherwise ``within bound``.
+    ``unresolved``: either side's interquartile range is wider than
+    ``bound`` of its median, unless every change run beats every parent run.
+    ``worse``: the median worsened by more than ``bound``.  Otherwise
+    ``within bound``.
     """
     sign = 1.0 if lower else -1.0
     p_med, c_med = parent["median"], change["median"]
