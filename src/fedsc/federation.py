@@ -286,8 +286,9 @@ class _ClientPool:
             self._executor = ProcessPoolExecutor(
                 self.size, mp_context=multiprocessing.get_context("fork"))
             self._executor.submit(int)
-        # one thread per worker calls run_client and waits for its update
-        with ThreadPoolExecutor(max_workers=self.size) as dispatch:
+        # one thread per client calls run_client and waits for its update, so
+        # every client is queued at once and no worker waits to be handed one
+        with ThreadPoolExecutor(max_workers=len(clients)) as dispatch:
             return list(dispatch.map(lambda c: train(c, self._executor), clients))
 
     def close(self) -> None:

@@ -19,20 +19,21 @@ The per-sample CE and RPCL functions are the readable reference;
 them.  The batch RPCL folds ``1 / (u tau)`` into the prototypes, so its
 scores and gradient may differ from the reference in the last bits.
 
-Everything in RPCL that depends only on the relational set and the
-normalizers is prepared once per epoch, by ``compute_normalizers``: the
-valid prototypes scaled by ``1 / (|r| u tau)``, a (class, prototype)
-positive table and a per-class flag for "has a positive and a negative".
-The zero-norm-prototype and ``u <= 0`` checks run there too.  A context
-built by hand carries none of this, and ``total_loss`` prepares it on each
-call through the same function; so does a computed context passed with a
+RPCL's inputs are split by how often they change.  What depends on the
+relational set alone (its valid rows, their norms, a (class, prototype)
+positive table and a per-class flag for "has a positive and a negative") is
+built once per set in each process, as ``RelationalSet.valid_rows``, which
+also rejects a zero-norm prototype.  What depends on the normalizers too is
+built once per epoch: ``compute_normalizers`` computes ``u`` and the valid
+prototypes scaled by ``1 / (|r| u tau)``, and checks ``u > 0``.  A context
+built by hand gets its scaled prototypes from the same method at the first
+``total_loss`` call, and so does a computed context passed with a
 relational set other than the one it was computed from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .errors import (
     NoPositivePrototypeError,
 )
 from .model import _BLOCK_ROWS, FeatureBatch, ModelParams, forward_logits
-from .prototypes import ConsistentSet, RelationalSet
+from .prototypes import ConsistentSet, RelationalSet, ValidRows
 
 _EPS = 1e-12
 
@@ -55,29 +56,17 @@ CPDR_NORMS = ("sq", "l1")
 DEFAULT_CPDR_NORM = "sq"
 
 
-class _RpclPrototypes(NamedTuple):
-    """The RPCL arrays that change once per epoch, not per batch."""
-
-    relational: RelationalSet  # the set they were prepared from
-    r_scaled: np.ndarray       # (P, d) valid prototypes r / (|r| u tau)
-    positive: np.ndarray       # (C, P) 1.0 where prototype p belongs to class j
-    contrasted: np.ndarray     # (C,) bool: class j has a positive and a negative
-
-
 @dataclass(frozen=True)
 class SimilarityContext:
     """Per-prototype distance normalizers U[j, k] plus the temperature.
 
-    ``prepared`` holds the per-epoch RPCL arrays that ``compute_normalizers``
-    builds; a context built by hand leaves it ``None``.  Frozen, so a
-    computed context cannot change under its prepared arrays.
+    A context is a value: it holds read-only copies of ``u`` and ``valid``,
+    so the scaled prototypes kept with it cannot go stale.
     """
 
     u: np.ndarray      # (num_classes, num_clients)
     valid: np.ndarray  # (num_classes, num_clients) bool
     tau: float = 0.05
-    prepared: _RpclPrototypes | None = field(
-        default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if np.ndim(self.u) != 2 or np.shape(self.valid) != np.shape(self.u):
@@ -87,6 +76,34 @@ class SimilarityContext:
             )
         if not 0 < self.tau < np.inf:
             raise InvalidArgumentError("tau must be finite and > 0")
+        u = np.array(self.u, dtype=np.float64)
+        valid = np.array(self.valid, dtype=bool)
+        u.flags.writeable = valid.flags.writeable = False
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "valid", valid)
+
+    def _scaled(self, relational: RelationalSet) -> tuple[ValidRows, np.ndarray]:
+        """The set's valid rows over the cells valid in both, and those rows
+        scaled by ``1 / (|r| u tau)``; kept for the last set passed.
+
+        Raises ``DegeneratePrototypeError`` for a zero-norm prototype and
+        ``InvalidArgumentError`` for ``u <= 0`` on those cells.
+        """
+        kept = self.__dict__.get("_kept")
+        if kept is None or kept[0] is not relational:
+            source = relational
+            if not (relational.valid <= self.valid).all():
+                # a context built by hand may leave out cells the set holds
+                source = RelationalSet(relational.r, relational.valid & self.valid)
+            rows = source.valid_rows
+            u = self.u.take(rows.cells)
+            if (u <= 0).any():
+                raise InvalidArgumentError("normalizer u must be > 0")
+            r_scaled = rows.rows / (rows.norms * u * self.tau)[:, None]
+            r_scaled.flags.writeable = False
+            kept = (relational, rows, r_scaled)
+            object.__setattr__(self, "_kept", kept)
+        return kept[1], kept[2]
 
 
 @dataclass
@@ -115,9 +132,9 @@ def compute_normalizers(
     snapshot at every epoch start.  Only the valid (class, client) cells are
     computed; RPCL never reads the others, and they hold 0.
 
-    The returned context is the epoch's snapshot: it also carries the RPCL
-    prototypes prepared from ``relational``, so a zero-norm valid prototype
-    raises ``DegeneratePrototypeError`` and a valid cell with ``u <= 0`` raises
+    The returned context is the epoch's snapshot, with its scaled RPCL
+    prototypes built from ``relational``: a zero-norm valid prototype raises
+    ``DegeneratePrototypeError`` and a valid cell with ``u <= 0`` raises
     ``InvalidArgumentError`` here, and its ``u`` and ``valid`` are read-only.
     """
     feats = np.asarray(features, dtype=np.float64)
@@ -130,45 +147,22 @@ def compute_normalizers(
         raise DimensionMismatchError(
             f"features dim {feats.shape[1]} != prototype dim {d}"
         )
-    valid = relational.valid
-    r = relational.r[valid]
+    rows = relational.valid_rows
     # ||z - r||^2 = (||z||^2 + ||r||^2) - 2 z.r, clipped against rounding; the
     # cross term is one product (a row block of it may differ in the last
     # bit), turned into the squared distance a block of rows at a time
-    zz, rr = np.sum(feats**2, axis=1), np.sum(r**2, axis=1)
-    sq = 2.0 * feats @ r.T
+    zz, rr = np.sum(feats**2, axis=1), rows.sq_norms
+    sq = feats @ rows.rows2.T
     for start in range(0, len(sq), _BLOCK_ROWS):
         block = sq[start:start + _BLOCK_ROWS]
         np.subtract(zz[start:start + _BLOCK_ROWS, None] + rr, block, out=block)
     np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
-    u = np.zeros(valid.shape)
-    u[valid] = sq.sum(axis=0) / feats.shape[0]
-    u.flags.writeable = False
-    context = SimilarityContext(u, valid, tau)
-    return replace(context, prepared=_prepare_rpcl(relational, context))
-
-
-def _prepare_rpcl(
-    relational: RelationalSet, context: SimilarityContext
-) -> _RpclPrototypes:
-    """The RPCL arrays for the prototypes valid in both the set and the
-    context; checks their norms and normalizers once."""
-    valid = relational.valid & context.valid
-    r = relational.r[valid]                     # (P, d)
-    u = context.u[valid]
-    rn = np.linalg.norm(r, axis=1)
-    if (rn < _EPS).any():
-        raise DegeneratePrototypeError("zero-norm relational prototype")
-    if (u <= 0).any():
-        raise InvalidArgumentError("normalizer u must be > 0")
-    r_scaled = r / (rn * u * context.tau)[:, None]
-    class_of = np.nonzero(valid)[0]
-    positive = class_of[None, :] == np.arange(valid.shape[0])[:, None]
-    pos_count = positive.sum(axis=1)
-    contrasted = (pos_count > 0) & (pos_count < positive.shape[1])
-    return _RpclPrototypes(relational, r_scaled, positive.astype(np.float64),
-                           contrasted)
+    u = np.zeros(relational.valid.size)
+    u[rows.cells] = sq.sum(axis=0) / feats.shape[0]
+    context = SimilarityContext(u.reshape(relational.valid.shape), relational.valid, tau)
+    context._scaled(relational)
+    return context
 
 
 def _check_prototype_shapes(
@@ -276,11 +270,10 @@ def ce_loss_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]
 
 
 def _rpcl_batch(
-    z: np.ndarray, idx: np.ndarray, prepared: _RpclPrototypes
+    z: np.ndarray, idx: np.ndarray, rows: ValidRows, r_scaled: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized RPCL over a batch with 0-based class indices ``idx``;
     samples without a valid positive or negative contribute zero."""
-    r_scaled = prepared.r_scaled
     if r_scaled.shape[0] == 0:
         return np.zeros(len(z)), np.zeros_like(z)
     # np.linalg.norm(z, axis=1) without its wrapper
@@ -290,21 +283,21 @@ def _rpcl_batch(
     z_hat = z / zn[:, None]
     s = z_hat @ r_scaled.T                      # (n, P): cos / (u tau)
 
-    pos = prepared.positive[idx]                # (n, P)
-    active = prepared.contrasted[idx]
-
     w = s - s.max(axis=1, keepdims=True)
     np.exp(w, out=w)
     s_all = w.sum(axis=1)
-    s_pos = np.maximum((w * pos).sum(axis=1), _EPS)
-    losses = np.where(active, np.log(s_all) - np.log(s_pos), 0.0)
+    w_pos = w * rows.positive[idx]              # (n, P)
+    s_pos = np.maximum(w_pos.sum(axis=1), _EPS)
+    losses = np.log(s_all) - np.log(s_pos)
 
-    # c = w / s_all - pos * (w / s_pos), zero for inactive rows
+    # c = w / s_all - pos * (w / s_pos), zero for rows not contrasted
     c = w / s_all[:, None]
-    w /= s_pos[:, None]
-    w *= pos
-    c -= w
-    c *= active[:, None]
+    w_pos /= s_pos[:, None]
+    c -= w_pos
+    if not rows.all_contrasted:
+        active = rows.contrasted[idx]
+        losses = np.where(active, losses, 0.0)
+        c *= active[:, None]
     s *= c
     z_hat *= s.sum(axis=1)[:, None]
     grad = c @ r_scaled
@@ -318,7 +311,6 @@ def _cpdr_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized CPDR with 0-based class indices ``idx``; samples of classes
     without a prototype contribute zero."""
-    active = consistent.present[idx]
     grad = z - consistent.o[idx]                # the difference, then its gradient
     if norm == "sq":
         losses = (grad**2).sum(axis=1) / grad.shape[1]
@@ -329,8 +321,10 @@ def _cpdr_batch(
         np.sign(grad, out=grad)
     else:
         raise InvalidArgumentError(f"unknown cpdr norm '{norm}'")
-    losses *= active
-    grad *= active[:, None]
+    if not consistent.present.all():
+        active = consistent.present[idx]
+        losses *= active
+        grad *= active[:, None]
     return losses, grad
 
 
@@ -378,10 +372,7 @@ def total_loss(
     rpcl = cpdr = 0.0
     grad_z = None
     if relational is not None and context is not None:
-        prepared = context.prepared
-        if prepared is None or prepared.relational is not relational:
-            prepared = _prepare_rpcl(relational, context)
-        rpcl_losses, grad_z = _rpcl_batch(batch.z, idx, prepared)
+        rpcl_losses, grad_z = _rpcl_batch(batch.z, idx, *context._scaled(relational))
         rpcl = float(rpcl_losses.sum() / n)
     if consistent is not None:
         cpdr_losses, cpdr_grad = _cpdr_batch(batch.z, idx, consistent, cpdr_norm)

@@ -18,6 +18,8 @@ ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +55,28 @@ class PrototypeSet:
         self.vectors = np.where(self.present[:, None], self.vectors, 0.0)
 
 
+class ValidRows(NamedTuple):
+    """What RPCL and the distance normalizers read of a relational set that
+    depends on the set alone.  The P valid cells are taken in row-major
+    (class, client) order."""
+
+    cells: np.ndarray       # (P,) flat (class, client) indices of the valid cells
+    rows: np.ndarray        # (P, d) r[valid]
+    rows2: np.ndarray       # (P, d) 2 * rows, the normalizers' cross term
+    sq_norms: np.ndarray    # (P,) |r|^2
+    norms: np.ndarray       # (P,) |r|
+    positive: np.ndarray    # (C, P) 1.0 where prototype p belongs to class j
+    contrasted: np.ndarray  # (C,) bool: class j has a positive and a negative
+    all_contrasted: bool    # every class is contrasted
+
+
 @dataclass(frozen=True)
 class RelationalSet:
     """Neighbourhood-averaged prototypes r[j, k].
 
     A set is a value: it holds read-only copies of the arrays it is given,
-    so the RPCL prototypes prepared from it cannot go stale.
+    so what is derived from it cannot go stale.  Its ``valid_rows`` are
+    built at the first read in each process and are not pickled with it.
     """
 
     r: np.ndarray      # (num_classes, num_clients, d)
@@ -75,6 +93,34 @@ class RelationalSet:
         r.flags.writeable = valid.flags.writeable = False
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "valid", valid)
+
+    def __getstate__(self):
+        return {"r": self.r, "valid": self.valid}
+
+    def __setstate__(self, state):
+        for name, array in state.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @cached_property
+    def valid_rows(self) -> ValidRows:
+        """The set-only arrays, read-only; a zero-norm valid prototype raises
+        ``DegeneratePrototypeError`` at every read."""
+        cells = np.flatnonzero(self.valid)
+        rows = self.r.reshape(-1, self.r.shape[2])[cells]
+        sq_norms = np.sum(rows**2, axis=1)
+        norms = np.sqrt(sq_norms)
+        if (norms < _EPS).any():
+            raise DegeneratePrototypeError("zero-norm relational prototype")
+        class_of = cells // self.valid.shape[1]
+        positive = class_of[None, :] == np.arange(self.valid.shape[0])[:, None]
+        pos_count = positive.sum(axis=1)
+        contrasted = (pos_count > 0) & (pos_count < positive.shape[1])
+        arrays = (cells, rows, 2.0 * rows, sq_norms, norms, positive.astype(np.float64),
+                  contrasted)
+        for array in arrays:
+            array.flags.writeable = False
+        return ValidRows(*arrays, bool(contrasted.all()))
 
 
 @dataclass

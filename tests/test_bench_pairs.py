@@ -101,3 +101,25 @@ def test_a_group_whose_runs_all_crashed_stays_in_the_summary():
     assert summary == {"no_result": {"parent": 2, "change": 1}}
     assert bench_pairs.report("g", summary) == [
         "g: every run crashed, no result parent 2 change 1"]
+
+
+def test_reports_the_quartiles_of_the_per_pair_ratio():
+    # the parent drifts from 10 to 40 between pairs while the change stays
+    # 10% below it in every pair: pooled medians hide what each pair shows
+    parent = [10.0, 20.0, 30.0, 40.0, 40.0]
+    change = [0.9 * p for p in parent]
+    runs, declared = synthetic_runs(parent, change)
+    summary = bench_pairs.summarize({"g": runs}, declared)["g"]
+    ratio = summary["wall_s"]["pair_ratio"]
+    assert (ratio["median"], ratio["q1"], ratio["q3"]) == pytest.approx((0.9, 0.9, 0.9))
+    assert summary["wall_s"]["change_wins"] == 5
+    # a reported figure only: the verdict still compares the pooled medians
+    # (30 against 27) with the parent's interquartile range (20)
+    assert summary["wall_s"]["verdict"] == "unresolved"
+    line = [x for x in bench_pairs.report("g", summary) if " wall_s:" in x][0]
+    assert "pair ratio 0.900 [0.900, 0.900]" in line
+    # a group without a complete pair has no ratio to report
+    runs, _ = synthetic_runs([10.0, None], [None, 9.0])
+    lone = bench_pairs.summarize({"g": runs}, declared)["g"]
+    assert lone["wall_s"]["pair_ratio"] is None
+    assert "no pair ratio" in bench_pairs.report("g", lone)[0]

@@ -110,6 +110,22 @@ def test_workers_fork_on_the_calling_thread_in_the_first_round(two_cpus, monkeyp
     assert forks == [(threading.main_thread(), 1)] * 2
 
 
+def test_every_client_of_a_round_is_handed_off_at_once(two_cpus, monkeypatch):
+    # catches one dispatch thread per worker: the third of a round's four
+    # clients would wait for a thread that waits for the barrier
+    serial = run_experiment(*tiny_inputs())
+    barrier = threading.Barrier(4, timeout=10)
+    inner = ffed.run_client
+
+    def gathered(*args, **kwargs):
+        barrier.wait()
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ffed, "run_client", gathered)
+    result = run_experiment(*tiny_inputs(threads=2))
+    assert result.state.params.flat.tobytes() == serial.state.params.flat.tobytes()
+
+
 def test_one_usable_cpu_trains_in_this_process(monkeypatch, client_calls):
     monkeypatch.setattr(ffed, "usable_cpus", lambda: 1)
     run_experiment(*tiny_inputs(threads=4))

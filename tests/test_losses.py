@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +101,52 @@ class TestComputeNormalizers:
             rel.valid[0, 0] = False
         r[0, 0] *= -1  # the set holds its own copy
         assert np.array_equal(rel.r[0, 0], -r[0, 0])
+
+    def test_set_arrays_are_read_only(self):
+        rng = np.random.default_rng(4)
+        rel = random_relational(rng, 3, 4, 5, all_valid=False)
+        ctx = compute_normalizers(rng.standard_normal((6, 5)), rel)
+        rows, r_scaled = ctx._scaled(rel)
+        arrays = [a for a in rows if isinstance(a, np.ndarray)] + [r_scaled]
+        assert len(arrays) == len(rows)
+        for a in arrays:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            rows.positive[0, 0] = 0.0
+
+    def test_set_arrays_are_built_once_per_set(self):
+        # catches a rebuild at every epoch: five epochs' normalizers read the
+        # same array objects, and each context's scaled prototypes come from
+        # the set's rows
+        rng = np.random.default_rng(5)
+        rel = random_relational(rng, 3, 4, 5, all_valid=False)
+        first = rel.valid_rows
+        for _ in range(5):
+            ctx = compute_normalizers(rng.standard_normal((6, 5)), rel)
+            rows, _ = ctx._scaled(rel)
+            assert rows is first and rel.valid_rows is first
+            assert all(a is b for a, b in zip(rows, first))
+        valid = rel.valid
+        assert np.array_equal(first.rows, rel.r[valid])
+        assert np.array_equal(first.rows2, 2.0 * rel.r[valid])
+        assert np.array_equal(first.norms, np.linalg.norm(rel.r[valid], axis=1))
+        assert np.array_equal(first.positive.astype(bool),
+                              np.nonzero(valid)[0] == np.arange(3)[:, None])
+
+    def test_pickled_set_leaves_its_arrays_behind_and_gives_the_same_loss(self):
+        # a worker receives the set pickled: it rebuilds the arrays itself,
+        # and they give the same bits
+        params, batch, rel, consistent, _ = TestTotalLoss().setup_case(seed=6,
+                                                                       partial=True)
+        ctx = compute_normalizers(batch.z, rel, tau=0.08)
+        want = total_loss(batch, rel, consistent, ctx, params)
+        sent = pickle.dumps(rel)
+        assert len(sent) < len(pickle.dumps(rel.valid_rows))
+        got = pickle.loads(sent)
+        assert "valid_rows" not in vars(got)
+        assert not got.r.flags.writeable and not got.valid.flags.writeable
+        ctx = compute_normalizers(batch.z, got, tau=0.08)
+        TestTotalLoss.assert_same(want, total_loss(batch, got, consistent, ctx, params))
 
     def test_validation(self):
         rng = np.random.default_rng(1)
@@ -389,11 +436,18 @@ class TestTotalLoss:
         r = rel.r.copy()
         r[2, 1] = 0.0
         rel = RelationalSet(r, rel.valid)
-        with pytest.raises(DegeneratePrototypeError):
-            compute_normalizers(batch.z, rel)
+        # a failed build caches nothing, so every call raises again
+        for _ in range(2):
+            with pytest.raises(DegeneratePrototypeError):
+                compute_normalizers(batch.z, rel)
         hand = SimilarityContext(ctx.u.copy(), ctx.valid.copy(), ctx.tau)
         with pytest.raises(DegeneratePrototypeError):
             total_loss(batch, rel, consistent, hand, params)
+        # a context that leaves the zero-norm cell out does not contrast it
+        valid = ctx.valid.copy()
+        valid[2, 1] = False
+        hand = SimilarityContext(ctx.u, valid, ctx.tau)
+        assert np.isfinite(total_loss(batch, rel, consistent, hand, params).rpcl)
 
     @pytest.mark.parametrize("partial", [False, True])
     def test_computed_and_hand_built_contexts_agree(self, partial):
@@ -401,6 +455,17 @@ class TestTotalLoss:
         hand = SimilarityContext(ctx.u.copy(), ctx.valid.copy(), ctx.tau)
         self.assert_same(total_loss(batch, rel, consistent, ctx, params),
                          total_loss(batch, rel, consistent, hand, params))
+
+    def test_hand_built_context_holds_its_own_copies(self):
+        # the scaled prototypes kept with a context cannot go stale
+        params, batch, rel, consistent, ctx = self.setup_case(seed=13)
+        u = ctx.u.copy()
+        hand = SimilarityContext(u, ctx.valid.copy(), ctx.tau)
+        before = total_loss(batch, rel, consistent, hand, params)
+        u *= 2.0
+        self.assert_same(before, total_loss(batch, rel, consistent, hand, params))
+        with pytest.raises(ValueError):
+            hand.u[0, 0] = 1.0
 
     def test_computed_context_follows_the_relational_set_given(self):
         params, batch, rel, consistent, ctx = self.setup_case(seed=11)
@@ -414,8 +479,9 @@ class TestTotalLoss:
     def test_leaves_its_inputs_unchanged(self, norm):
         # perfbench's loss probe times total_loss again and again on one batch
         params, batch, rel, consistent, ctx = self.setup_case(seed=12, partial=True)
+        rows, r_scaled = ctx._scaled(rel)
         inputs = (params.flat, batch.inputs, batch.pre1, batch.act1, batch.z,
-                  batch.labels, ctx.u, ctx.valid, *ctx.prepared[1:], rel.r,
+                  batch.labels, ctx.u, ctx.valid, *rows[:-1], r_scaled, rel.r,
                   rel.valid, consistent.o, consistent.present)
         before = [a.tobytes() for a in inputs]
         out = total_loss(batch, rel, consistent, ctx, params, cpdr_norm=norm)

@@ -26,9 +26,9 @@ def reports(draw):
     return vectors, present, counts
 
 
-def build(vectors, present, counts, neighbors):
-    sets = [PrototypeSet(v, p, owner=i + 1)
-            for i, (v, p) in enumerate(zip(vectors, present))]
+def build(vectors, present, counts, neighbors, owners=None):
+    owners = range(1, len(vectors) + 1) if owners is None else owners
+    sets = [PrototypeSet(v, p, owner=int(o)) for v, p, o in zip(vectors, present, owners)]
     return build_collaboration(sets, counts, neighbors)
 
 
@@ -70,3 +70,38 @@ def test_permuting_classes_permutes_adjacency_and_relational(inputs, neighbors, 
     assert np.array_equal(moved.adjacency, base.adjacency[perm])
     assert np.array_equal(moved.relational.valid, base.relational.valid[perm])
     assert np.array_equal(moved.relational.r, base.relational.r[perm])
+
+
+@PROPERTY
+@given(reports(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_permuting_clients_permutes_adjacency_relational_and_set_arrays(
+        inputs, neighbors, rand):
+    vectors, present, counts = inputs
+    k = len(vectors)
+    perm = np.array(rand.sample(range(k), k))
+    base = build(vectors, present, counts, neighbors)
+    moved = build(vectors[perm], present[perm], counts[perm], neighbors, owners=perm + 1)
+    # catches neighbours picked by their position in the report list instead
+    # of by angular difference
+    assert np.array_equal(moved.adjacency, base.adjacency[:, perm][:, :, perm])
+    # catches a valid mask that stays with a report's position, not its client
+    assert np.array_equal(moved.relational.valid, base.relational.valid[:, perm])
+    # catches a neighbour's prototype taken from another client; the global
+    # means sum the clients in another order, so the bits may move
+    assert np.allclose(moved.relational.r, base.relational.r[:, perm], rtol=0, atol=1e-12)
+
+    # the set's cached arrays move with its valid cells: valid cell p of the
+    # moved set is valid cell order[p] of the base set
+    rows, base_rows = moved.relational.valid_rows, base.relational.valid_rows
+    index = np.full(present.T.shape, -1)
+    index[base.relational.valid] = np.arange(base.relational.valid.sum())
+    order = index[:, perm][moved.relational.valid]
+    # catches rows gathered client-major while the cells are class-major
+    assert np.allclose(rows.rows, base_rows.rows[order], rtol=0, atol=1e-12)
+    assert np.allclose(rows.norms, base_rows.norms[order], rtol=0, atol=1e-12)
+    # catches a positive table keyed on the client instead of the class, or
+    # built from a mask other than the set's
+    assert np.array_equal(rows.positive, base_rows.positive[:, order])
+    # catches contrasted flags that depend on a client's position
+    assert np.array_equal(rows.contrasted, base_rows.contrasted)
+    assert rows.all_contrasted == base_rows.all_contrasted

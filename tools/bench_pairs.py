@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -84,7 +85,10 @@ def _no_result(runs: list[dict]) -> dict[str, int]:
 
 
 def summarize_end_to_end(runs: list[dict], declared: list[dict]) -> dict:
-    """Per-metric medians, quartiles, pairs won, worsening and verdict."""
+    """Per-metric medians, quartiles, pairs won, worsening and verdict, plus
+    the quartiles of the per-pair change/parent ratio (``pair_ratio``, a
+    reported figure that the verdict does not read): the host can drift
+    between pairs by more than the change moves within one."""
     sides = _by_side(runs)
     pair_of = {side: {r["pair"]: r["result"]["metrics"] for r in sides[side]}
                for side in sides}
@@ -95,13 +99,15 @@ def summarize_end_to_end(runs: list[dict], declared: list[dict]) -> dict:
         name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
         parent = quartiles([r["result"]["metrics"][name] for r in sides["parent"]])
         change = quartiles([r["result"]["metrics"][name] for r in sides["change"]])
-        wins = 0
+        wins, ratios = 0, []
         for i in pairs:
             p, c = pair_of["parent"][i][name], pair_of["change"][i][name]
             wins += (c < p) if lower else (c > p)
+            ratios.append(c / p if p else math.inf)
         worsening = (change["median"] - parent["median"]) / parent["median"]
         out[name] = {
             "parent": parent, "change": change, "change_wins": wins,
+            "pair_ratio": quartiles(ratios) if ratios else None,
             "relative_worsening": worsening if lower else -worsening,
             "bound": bound,
             "parent_iqr_over_median": (parent["q3"] - parent["q1"]) / parent["median"],
@@ -252,9 +258,18 @@ def report(group: str, summary: dict) -> list[str]:
         return [f"{group}: every run crashed, {crashed}"]
     return [f"{group} {name}: {entry['parent']['median']:.6g} -> "
             f"{entry['change']['median']:.6g}, change won "
-            f"{entry['change_wins']}/{summary['pairs']}, {crashed}, {entry['verdict']}"
+            f"{entry['change_wins']}/{summary['pairs']}, {_ratio(entry)}, {crashed}, "
+            f"{entry['verdict']}"
             for name, entry in summary.items()
             if isinstance(entry, dict) and "verdict" in entry]
+
+
+def _ratio(entry: dict) -> str:
+    ratio = entry["pair_ratio"]
+    if ratio is None:
+        return "no pair ratio"
+    return (f"pair ratio {ratio['median']:.3f} "
+            f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]")
 
 
 if __name__ == "__main__":
