@@ -265,11 +265,14 @@ class _ClientPool:
     """Trains a round's clients on ``min(threads, usable CPUs)`` worker
     processes, or in this process when that is 1.
 
-    The workers are forked at the first round that uses them and live until
-    :meth:`close`.  Python 3.11's ``ProcessPoolExecutor`` forks every worker
-    at its first submit, from the submitting thread, so that submit is made
-    here, on the calling thread, before any dispatch thread exists.  The
-    process machinery is imported only then, so serial runs never load it.
+    Each client of a round is dispatched from its own thread, which calls
+    ``train`` and waits for the update, so every client is queued on the
+    workers at once.  The workers are forked at the first round that uses
+    them and live until :meth:`close`.  Python 3.11's
+    ``ProcessPoolExecutor`` forks every worker at its first submit, from the
+    submitting thread, so that submit is made here, on the calling thread,
+    before any dispatch thread exists.  The process machinery is imported
+    only then, so serial runs never load it.
     """
 
     def __init__(self, config: FederationConfig):
@@ -286,8 +289,7 @@ class _ClientPool:
             self._executor = ProcessPoolExecutor(
                 self.size, mp_context=multiprocessing.get_context("fork"))
             self._executor.submit(int)
-        # one thread per client calls run_client and waits for its update, so
-        # every client is queued at once and no worker waits to be handed one
+        # no worker waits for the parent to hand it its next client
         with ThreadPoolExecutor(max_workers=len(clients)) as dispatch:
             return list(dispatch.map(lambda c: train(c, self._executor), clients))
 

@@ -161,7 +161,7 @@ def compute_normalizers(
     u = np.zeros(relational.valid.size)
     u[rows.cells] = sq.sum(axis=0) / feats.shape[0]
     context = SimilarityContext(u.reshape(relational.valid.shape), relational.valid, tau)
-    context._scaled(relational)
+    context._scaled(relational)  # once per epoch, and its errors belong to this call
     return context
 
 
