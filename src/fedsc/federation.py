@@ -265,9 +265,9 @@ class _ClientPool:
     """Trains a round's clients on ``min(threads, usable CPUs)`` worker
     processes, or in this process when that is 1.
 
-    Each client of a round is dispatched from its own thread, which calls
-    ``train`` and waits for the update, so every client is queued on the
-    workers at once.  The workers are forked at the first round that uses
+    A round's clients are dispatched from up to two threads per worker, each
+    of which calls ``train`` and waits for the update, so every worker has a
+    client queued behind the one it trains.  The workers are forked at the first round that uses
     them and live until :meth:`close`.  Python 3.11's
     ``ProcessPoolExecutor`` forks every worker at its first submit, from the
     submitting thread, so that submit is made here, on the calling thread,
@@ -290,7 +290,7 @@ class _ClientPool:
                 self.size, mp_context=multiprocessing.get_context("fork"))
             self._executor.submit(int)
         # no worker waits for the parent to hand it its next client
-        with ThreadPoolExecutor(max_workers=len(clients)) as dispatch:
+        with ThreadPoolExecutor(max_workers=min(len(clients), 2 * self.size)) as dispatch:
             return list(dispatch.map(lambda c: train(c, self._executor), clients))
 
     def close(self) -> None:

@@ -22,8 +22,10 @@ scores and gradient may differ from the reference in the last bits.
 RPCL's inputs are split by how often they change.  What depends on the
 relational set alone (its valid rows, their norms, a (class, prototype)
 positive table and a per-class flag for "has a positive and a negative") is
-built once per set in each process, as ``RelationalSet.valid_rows``, which
-also rejects a zero-norm prototype.  What depends on the normalizers too is
+``RelationalSet.valid_rows``, built at the first read of each set object, which
+also rejects a zero-norm prototype: once per round in a serial run, and once
+per client in a worker, which receives each client's set as its own pickled
+copy.  What depends on the normalizers too is
 built once per epoch: ``compute_normalizers`` computes ``u`` and the valid
 prototypes scaled by ``1 / (|r| u tau)``, and checks ``u > 0``.  A context
 built by hand gets its scaled prototypes from the same method at the first
@@ -152,7 +154,8 @@ def compute_normalizers(
     # cross term is one product (a row block of it may differ in the last
     # bit), turned into the squared distance a block of rows at a time
     zz, rr = np.sum(feats**2, axis=1), rows.sq_norms
-    sq = feats @ rows.rows2.T
+    sq = feats @ rows.rows.T
+    sq *= 2.0                                   # exact, and no (n, d) temporary
     for start in range(0, len(sq), _BLOCK_ROWS):
         block = sq[start:start + _BLOCK_ROWS]
         np.subtract(zz[start:start + _BLOCK_ROWS, None] + rr, block, out=block)
@@ -311,6 +314,7 @@ def _cpdr_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized CPDR with 0-based class indices ``idx``; samples of classes
     without a prototype contribute zero."""
+    active = consistent.present[idx]
     grad = z - consistent.o[idx]                # the difference, then its gradient
     if norm == "sq":
         losses = (grad**2).sum(axis=1) / grad.shape[1]
@@ -321,10 +325,8 @@ def _cpdr_batch(
         np.sign(grad, out=grad)
     else:
         raise InvalidArgumentError(f"unknown cpdr norm '{norm}'")
-    if not consistent.present.all():
-        active = consistent.present[idx]
-        losses *= active
-        grad *= active[:, None]
+    losses *= active
+    grad *= active[:, None]
     return losses, grad
 
 

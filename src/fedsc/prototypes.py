@@ -62,7 +62,6 @@ class ValidRows(NamedTuple):
 
     cells: np.ndarray       # (P,) flat (class, client) indices of the valid cells
     rows: np.ndarray        # (P, d) r[valid]
-    rows2: np.ndarray       # (P, d) 2 * rows, the normalizers' cross term
     sq_norms: np.ndarray    # (P,) |r|^2
     norms: np.ndarray       # (P,) |r|
     positive: np.ndarray    # (C, P) 1.0 where prototype p belongs to class j
@@ -76,7 +75,8 @@ class RelationalSet:
 
     A set is a value: it holds read-only copies of the arrays it is given,
     so what is derived from it cannot go stale.  Its ``valid_rows`` are
-    built at the first read in each process and are not pickled with it.
+    built at the first read of each set object and are not pickled with it,
+    so an unpickled copy builds them again.
     """
 
     r: np.ndarray      # (num_classes, num_clients, d)
@@ -116,8 +116,7 @@ class RelationalSet:
         positive = class_of[None, :] == np.arange(self.valid.shape[0])[:, None]
         pos_count = positive.sum(axis=1)
         contrasted = (pos_count > 0) & (pos_count < positive.shape[1])
-        arrays = (cells, rows, 2.0 * rows, sq_norms, norms, positive.astype(np.float64),
-                  contrasted)
+        arrays = (cells, rows, sq_norms, norms, positive.astype(np.float64), contrasted)
         for array in arrays:
             array.flags.writeable = False
         return ValidRows(*arrays, bool(contrasted.all()))

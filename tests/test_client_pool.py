@@ -126,6 +126,34 @@ def test_every_client_of_a_round_is_handed_off_at_once(two_cpus, monkeypatch):
     assert result.state.params.flat.tobytes() == serial.state.params.flat.tobytes()
 
 
+def test_dispatch_threads_are_capped_at_two_per_worker(two_cpus, monkeypatch):
+    # catches one thread per client: a round of eight clients would put all
+    # eight in run_client at once; two per worker keeps one queued on each
+    train, test = split_holdout(generate_gaussian_blobs(3, 80, 4, 3.0, seed=0), seed=3)
+    config = FederationConfig(rounds=1, num_clients=8, local_epochs=1, neighbors=1,
+                              seed=3, hidden_dim=8, feature_dim=6, threads=2,
+                              optimizer=OptimizerConfig(batch_size=16))
+    partition = PartitionConfig(num_clients=8, alpha=0.5, seed=3)
+    barrier, lock = threading.Barrier(4, timeout=10), threading.Lock()
+    in_flight, most = [0], [0]
+    inner = ffed.run_client
+
+    def counted(*args, **kwargs):
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+        barrier.wait()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(ffed, "run_client", counted)
+    run_experiment(config, train, partition, test=test)
+    assert most[0] == 4
+
+
 def test_one_usable_cpu_trains_in_this_process(monkeypatch, client_calls):
     monkeypatch.setattr(ffed, "usable_cpus", lambda: 1)
     run_experiment(*tiny_inputs(threads=4))

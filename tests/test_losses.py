@@ -128,7 +128,6 @@ class TestComputeNormalizers:
             assert all(a is b for a, b in zip(rows, first))
         valid = rel.valid
         assert np.array_equal(first.rows, rel.r[valid])
-        assert np.array_equal(first.rows2, 2.0 * rel.r[valid])
         assert np.array_equal(first.norms, np.linalg.norm(rel.r[valid], axis=1))
         assert np.array_equal(first.positive.astype(bool),
                               np.nonzero(valid)[0] == np.arange(3)[:, None])
