@@ -21,6 +21,7 @@ from fedsc.errors import (
 from fedsc.losses import (
     CPDR_NORMS,
     SimilarityContext,
+    _rpcl_batch,
     ce_loss_and_grad,
     compute_normalizers,
     rpcl_loss_and_grad,
@@ -526,6 +527,18 @@ class TestTotalLoss:
             ctx = SimilarityContext(np.ones((classes, 2)), rel.valid, 0.1)
             with pytest.raises(DimensionMismatchError, match="relational"):
                 total_loss(batch, rel, consistent, ctx, params)
+
+    def test_rpcl_mask_skip_gives_the_masked_bits(self):
+        # when every class is contrasted the batch RPCL skips a multiply by
+        # 1.0 and a where that keeps every loss; the masked path must agree
+        params, batch, rel, consistent, ctx = self.setup_case(seed=15)
+        rows, r_scaled = ctx._scaled(rel)
+        assert rows.all_contrasted
+        idx = batch.labels - 1
+        skipped = _rpcl_batch(batch.z, idx, rows, r_scaled)
+        masked = _rpcl_batch(batch.z, idx, rows._replace(all_contrasted=False), r_scaled)
+        for a, b in zip(skipped, masked):
+            assert a.tobytes() == b.tobytes()
 
     def test_rpcl_without_a_valid_prototype_contributes_zero(self):
         params, batch, rel, consistent, _ = self.setup_case(seed=13)
