@@ -318,7 +318,9 @@ def run_round(
     this call only.  Updates are merged in the order of ``clients`` and the
     prototype rebuild walks clients in ascending id order, so results do not
     depend on scheduling.  An empty ``test`` raises ``EmptyDatasetError``
-    before the round starts, leaving ``state`` untouched.
+    before the round starts, leaving ``state`` untouched.  A ``FedscError``
+    from the prototype build or the evaluation is raised again as the same
+    class with ``round R, server: `` before its message.
     """
     if test.num_samples == 0:
         raise EmptyDatasetError("cannot evaluate on zero samples")
@@ -350,11 +352,13 @@ def run_round(
     # built for fedavg too: perfbench's loss probe reads a fedavg state.relational
     ids = sorted(state.latest_prototypes)
     counts = {c.client_id: c.class_counts for c in clients}
-    built = build_collaboration([state.latest_prototypes[i] for i in ids],
-                                np.stack([counts[i] for i in ids]), config.neighbors)
-    state.relational, state.consistent = built.relational, built.consistent
-
-    accuracy = evaluate_accuracy(state.params, test.features, test.labels)
+    try:
+        built = build_collaboration([state.latest_prototypes[i] for i in ids],
+                                    np.stack([counts[i] for i in ids]), config.neighbors)
+        state.relational, state.consistent = built.relational, built.consistent
+        accuracy = evaluate_accuracy(state.params, test.features, test.labels)
+    except FedscError as exc:
+        raise type(exc)(f"round {state.round_index}, server: {exc}") from exc
     means = np.mean([(u.total, u.ce, u.rpcl, u.cpdr) for u in updates], axis=0)
     wall_ms = (time.perf_counter() - start) * 1000.0
     metrics = RoundMetrics(state.round_index, accuracy, float(means[0]),

@@ -123,3 +123,34 @@ def test_reports_the_quartiles_of_the_per_pair_ratio():
     lone = bench_pairs.summarize({"g": runs}, declared)["g"]
     assert lone["wall_s"]["pair_ratio"] is None
     assert "no pair ratio" in bench_pairs.report("g", lone)[0]
+
+
+# a tier-1 run with one failed criterion, as ``pytest -q`` prints it
+TIER1_STDOUT = """\
+........................................................................ [ 15%]
+...........................F.........................F..                 [100%]
+=================================== FAILURES ===================================
+___________________ test_seed_one_runs_match_the_oracle_record _________________
+E       AssertionError: metrics differ from tools/oracle.json: ['h2h-fedsc-standard']
+----------------------------- Captured stdout call -----------------------------
+h2h-fedsc-standard weights: same (max abs diff 0)
+============================= acceptance criteria ==============================
+CRITERION 1: PASS - fedsc mean 1.00000 vs fedavg mean 1.00000, slowest run 5s
+CRITERION 4: FAIL - max relative gradient error 1.156e+00 over 50 random instances
+h2h-fedsc-standard weights: same (max abs diff 0)
+h2h-fedavg-longtail weights: differs (max abs diff 2.78e-16)
+=========================== short test summary info ============================
+FAILED tests/test_acceptance.py::test_seed_one_runs_match_the_oracle_record
+2 failed, 483 passed in 40.00s
+"""
+
+
+def test_keeps_the_acceptance_lines_of_a_tier1_run():
+    assert bench_pairs.acceptance_summary(TIER1_STDOUT) == [
+        "CRITERION 1: PASS - fedsc mean 1.00000 vs fedavg mean 1.00000, slowest run 5s",
+        "CRITERION 4: FAIL - max relative gradient error 1.156e+00 over 50 random instances",
+        "h2h-fedsc-standard weights: same (max abs diff 0)",
+        "h2h-fedavg-longtail weights: differs (max abs diff 2.78e-16)",
+    ]
+    # a run that never reached the acceptance module has no such section
+    assert bench_pairs.acceptance_summary("3 passed in 0.10s\n") == []

@@ -17,6 +17,7 @@ from fedsc.data import (
     split_holdout,
 )
 from fedsc.errors import (
+    DegeneratePrototypeError,
     DimensionMismatchError,
     EmptyDatasetError,
     InvalidArgumentError,
@@ -44,7 +45,7 @@ from fedsc.model import (
     forward_features,
     init_params,
 )
-from fedsc.prototypes import build_collaboration, prototypes_from_features
+from fedsc.prototypes import PrototypeSet, build_collaboration, prototypes_from_features
 
 
 def small_config(**overrides):
@@ -330,6 +331,22 @@ class TestRunRound:
         assert state.relational is None
         with pytest.raises(EmptyDatasetError):
             evaluate_accuracy(state.params, empty.features, empty.labels)
+
+    def test_server_errors_name_their_round(self):
+        # every client's stale report holds a zero-norm prototype; the one
+        # client selected this round replaces its own, so the others reach
+        # the server build
+        ds = small_dataset()
+        clients = partition_dataset(ds, small_partition())
+        state = ServerState(init_params(4, 8, 6, 3, seed=0))
+        for c in clients:
+            state.latest_prototypes[c.client_id] = PrototypeSet(
+                np.zeros((3, 6)), np.array([True, False, False]), owner=c.client_id)
+        with pytest.raises(DegeneratePrototypeError,
+                           match=r"^round 1, server: zero-norm prototype for class 1, "
+                                 r"client \d+$"):
+            run_round(state, clients, small_config(rounds=1, participation_fraction=0.25),
+                      np.random.default_rng(0), ds)
 
 
 class TestRunExperiment:

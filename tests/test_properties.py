@@ -105,3 +105,49 @@ def test_permuting_clients_permutes_adjacency_relational_and_set_arrays(
     # catches contrasted flags that depend on a client's position
     assert np.array_equal(rows.contrasted, base_rows.contrasted)
     assert rows.all_contrasted == base_rows.all_contrasted
+
+
+@PROPERTY
+@given(reports(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_rotating_every_prototype_rotates_relational_and_consistent(
+        inputs, neighbors, seed):
+    # catches a norm taken coordinatewise, such as an L1 norm in the cosine,
+    # and a nonlinear step in the relational or consistent prototypes
+    vectors, present, counts = inputs
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((vectors.shape[2],) * 2))
+    base = build(vectors, present, counts, neighbors)
+    moved = build(vectors @ q, present, counts, neighbors)
+    assert np.array_equal(moved.adjacency, base.adjacency)
+    assert np.allclose(moved.relational.r, base.relational.r @ q, rtol=0, atol=1e-12)
+    assert np.allclose(moved.consistent.o, base.consistent.o @ q, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(reports(), st.integers(0, 3))
+def test_scaling_every_prototype_keeps_the_adjacency(inputs, neighbors):
+    # catches a similarity that reads the prototypes' length, such as a floor
+    # on the cosine's denominator
+    vectors, present, counts = inputs
+    base = build(vectors, present, counts, neighbors)
+    assert np.array_equal(build(3.7 * vectors, present, counts, neighbors).adjacency,
+                          base.adjacency)
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_a_tie_goes_to_the_lower_report_position(d, seed):
+    # Reports a and b are identical, so the third client is equally close to
+    # both.  At M = 1 it links the one earlier in the report list, whatever
+    # its owner; run_round lists reports by ascending client id.  Catches
+    # ties broken towards the later report, and a tie broken by owner.
+    rng = np.random.default_rng(seed)
+    same, other = rng.standard_normal((2, 1, d))
+    vectors, present = np.stack([same, same, other]), np.ones((3, 1), bool)
+    counts = np.array([[5], [7], [9]])
+    # owners 1, 2, 3 in that order: client 3 links client 1
+    base = build(vectors, present, counts, 1)
+    assert base.adjacency[0].tolist() == [[1, 1, 0], [1, 1, 0], [1, 0, 1]]
+    # listed as clients 3, 2, 1: client 3 links client 2, now the earlier copy
+    perm = np.array([2, 1, 0])
+    moved = build(vectors[perm], present[perm], counts[perm], 1, owners=perm + 1)
+    assert moved.adjacency[0].tolist() == [[1, 1, 0], [0, 1, 1], [0, 1, 1]]

@@ -10,8 +10,9 @@ Pair i runs every ``--workload`` in turn on both sides with that side's own
 even pairs; the two sides never run at once.  Each result file is copied
 out right after its run, because ``perfbench/run.py`` writes every run of a
 workload to the same path.  Each side's ``git rev-parse HEAD`` (or
-``unknown`` when DIR is not the top of a git work tree) and the wall time of
-one run of its tier-1 suite are recorded.
+``unknown`` when DIR is not the top of a git work tree) and one run of its
+tier-1 suite are recorded: wall time, summary line and the acceptance lines,
+which carry each criterion's verdict and the oracle runs' weights verdicts.
 
 The file keeps ``BENCH_20.json``'s layout (``what``, ``command``,
 ``procedure``, ``summary``, ``results``) plus ``sides``, as compact JSON.
@@ -26,11 +27,13 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import time
+from itertools import takewhile
 from pathlib import Path
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
@@ -158,15 +161,28 @@ def git_sha(root: Path) -> str:
         return "unknown"
 
 
+def acceptance_summary(stdout: str) -> list[str]:
+    """The lines of the ``acceptance criteria`` section that the suite's
+    conftest adds to pytest's terminal summary: one ``CRITERION n:`` line
+    per criterion and one ``<run> weights:`` line per oracle run."""
+    lines = iter(stdout.splitlines())
+    for line in lines:
+        if re.fullmatch(r"=+ acceptance criteria =+", line):
+            return list(takewhile(re.compile(r"CRITERION \d+: |\S+ weights: ").match,
+                                  lines))
+    return []
+
+
 def run_tier1(root: Path) -> dict:
-    """Wall time and summary line of one tier-1 run in ``root``."""
+    """Wall time, summary line and acceptance lines of one tier-1 run in ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
                           capture_output=True, text=True)
     seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines() or [""]
-    return {"seconds": seconds, "returncode": proc.returncode, "summary": lines[-1]}
+    return {"seconds": seconds, "returncode": proc.returncode, "summary": lines[-1],
+            "acceptance": acceptance_summary(proc.stdout)}
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int,
