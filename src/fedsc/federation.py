@@ -128,11 +128,12 @@ class RoundMetrics:
 CSV_HEADER = [f.name for f in fields(RoundMetrics)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerState:
     """What the next round reads: the global model, each client's latest
     prototypes by client id, and the relational and consistent prototypes
-    built from them (None until round 1 ends)."""
+    built from them (None until round 1 ends).  :func:`run_round` returns
+    the next state and never writes the one it is given."""
 
     params: ModelParams
     round_index: int = 0
@@ -262,27 +263,24 @@ def usable_cpus() -> int:
 
 
 class _ClientPool:
-    """Trains a round's clients on ``min(threads, usable CPUs)`` worker
-    processes, or in this process when that is 1.
+    """Trains a round's clients on ``size`` worker processes.
 
     A round's clients are dispatched from up to two threads per worker, each
     of which calls ``train`` and waits for the update, so every worker has a
-    client queued behind the one it trains.  The workers are forked at the first round that uses
-    them and live until :meth:`close`.  Python 3.11's
+    client queued behind the one it trains.  The workers are forked at the
+    first round that uses them and live until :meth:`close`.  Python 3.11's
     ``ProcessPoolExecutor`` forks every worker at its first submit, from the
     submitting thread, so that submit is made here, on the calling thread,
     before any dispatch thread exists.  The process machinery is imported
     only then, so serial runs never load it.
     """
 
-    def __init__(self, config: FederationConfig):
-        self.size = min(config.threads, usable_cpus())
+    def __init__(self, size: int):
+        self.size = size
         self._executor = None
 
     def map(self, train, clients: list[ClientDataset]) -> list[ClientUpdate]:
         """``train(client, workers)`` for every client, in client order."""
-        if self.size == 1:
-            return [train(client, None) for client in clients]
         if self._executor is None:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -311,21 +309,21 @@ def run_round(
 ) -> tuple[ServerState, RoundMetrics]:
     """One federated round: sample, train, aggregate, rebuild prototypes.
 
-    Only fedsc clients receive the relational and consistent prototypes.
-    Clients train independently, on worker processes when ``config.threads``
-    and the usable CPUs are both above 1: in ``pool``, which
-    :func:`run_experiment` keeps for the whole run, or else in a pool for
-    this call only.  Updates are merged in the order of ``clients`` and the
-    prototype rebuild walks clients in ascending id order, so results do not
-    depend on scheduling.  An empty ``test`` raises ``EmptyDatasetError``
-    before the round starts, leaving ``state`` untouched.  A ``FedscError``
-    from the prototype build or the evaluation is raised again as the same
-    class with ``round R, server: `` before its message.
+    Returns the next state and the round's metrics, and never writes
+    ``state``, so a round that raises leaves it as it was.  Only fedsc
+    clients receive the relational and consistent prototypes.  Clients train
+    in ``pool`` if given, else one after another in this process: only
+    :func:`run_experiment` reads ``config.threads``.  Updates are merged in
+    the order of ``clients`` and the prototype rebuild walks clients in
+    ascending id order, so results do not depend on scheduling.  An empty
+    ``test`` raises ``EmptyDatasetError``.  A ``FedscError`` from the
+    prototype build or the evaluation is raised again as the same class with
+    ``round R, server: `` before its message.
     """
     if test.num_samples == 0:
         raise EmptyDatasetError("cannot evaluate on zero samples")
     start = time.perf_counter()
-    state.round_index += 1
+    round_index = state.round_index + 1
     k = len(clients)
     num_selected = max(1, int(round(config.participation_fraction * k)))
     selected = np.sort(rng.choice(k, size=num_selected, replace=False))
@@ -335,36 +333,32 @@ def run_round(
                               if config.algorithm == "fedsc" else (None, None))
 
     def train(client: ClientDataset, workers: Executor | None) -> ClientUpdate:
-        return run_client(state.params, client, config, state.round_index,
+        return run_client(state.params, client, config, round_index,
                           relational, consistent, workers=workers)
 
-    round_pool = pool if pool is not None else _ClientPool(config)
-    try:
-        updates = round_pool.map(train, chosen)
-    finally:
-        if round_pool is not pool:
-            round_pool.close()
+    updates = ([train(client, None) for client in chosen] if pool is None
+               else pool.map(train, chosen))
 
-    state.params = aggregate_models(
+    params = aggregate_models(
         [(u.params, c.num_samples) for u, c in zip(updates, chosen)])
-    for update, client in zip(updates, chosen):
-        state.latest_prototypes[client.client_id] = update.prototypes
+    reports = {**state.latest_prototypes,
+               **{c.client_id: u.prototypes for u, c in zip(updates, chosen)}}
     # built for fedavg too: perfbench's loss probe reads a fedavg state.relational
-    ids = sorted(state.latest_prototypes)
+    ids = sorted(reports)
     counts = {c.client_id: c.class_counts for c in clients}
     try:
-        built = build_collaboration([state.latest_prototypes[i] for i in ids],
+        built = build_collaboration([reports[i] for i in ids],
                                     np.stack([counts[i] for i in ids]), config.neighbors)
-        state.relational, state.consistent = built.relational, built.consistent
-        accuracy = evaluate_accuracy(state.params, test.features, test.labels)
+        accuracy = evaluate_accuracy(params, test.features, test.labels)
     except FedscError as exc:
-        raise type(exc)(f"round {state.round_index}, server: {exc}") from exc
+        raise type(exc)(f"round {round_index}, server: {exc}") from exc
     means = np.mean([(u.total, u.ce, u.rpcl, u.cpdr) for u in updates], axis=0)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    metrics = RoundMetrics(state.round_index, accuracy, float(means[0]),
+    metrics = RoundMetrics(round_index, accuracy, float(means[0]),
                            float(means[1]), float(means[2]), float(means[3]),
                            wall_ms)
-    return state, metrics
+    return ServerState(params, round_index, reports, built.relational,
+                       built.consistent), metrics
 
 
 def run_experiment(
@@ -375,8 +369,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Partition a dataset, run the configured number of rounds, return metrics.
 
-    Clients of every round share one set of worker processes (see
-    :func:`run_round`), which is shut down when this returns or raises.
+    Clients train on ``min(config.threads, usable CPUs)`` worker processes
+    when that is above 1, kept for every round and shut down when this
+    returns or raises, else in this process.
 
     Both sets must be nonempty.  Every round is evaluated on ``test``, which
     must have the dataset's dim and class count.  The partition's client
@@ -405,14 +400,16 @@ def run_experiment(
     state = ServerState(params)
     sampler = np.random.default_rng(np.random.SeedSequence((config.seed, _TAG_SAMPLE)))
     metrics = []
-    pool = _ClientPool(config)
+    size = min(config.threads, usable_cpus())
+    pool = _ClientPool(size) if size > 1 else None
     try:
         for _ in range(config.rounds):
             state, round_metrics = run_round(state, clients, config, sampler, test,
                                              pool=pool)
             metrics.append(round_metrics)
     finally:
-        pool.close()
+        if pool is not None:
+            pool.close()
     return ExperimentResult(metrics, state)
 
 

@@ -100,7 +100,21 @@ def test_a_group_whose_runs_all_crashed_stays_in_the_summary():
     summary = bench_pairs.summarize({"g": runs}, declared)["g"]
     assert summary == {"no_result": {"parent": 2, "change": 1}}
     assert bench_pairs.report("g", summary) == [
-        "g: every run crashed, no result parent 2 change 1"]
+        "g: every run of a side crashed, no result parent 2 change 1"]
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_a_group_where_every_run_of_one_side_crashed_stays_in_the_summary(trace):
+    # catches quartiles taken over a side with no runs, which raised
+    # before the BENCH file was written
+    runs, declared = synthetic_runs([10.0, 11.0], [None, None])
+    for run in runs:
+        if run["result"] is not None:
+            run["result"]["trace"] = trace
+    summary = bench_pairs.summarize({"g": runs}, declared)["g"]
+    assert summary == {"no_result": {"parent": 0, "change": 2}}
+    assert bench_pairs.report("g", summary) == [
+        "g: every run of a side crashed, no result parent 0 change 2"]
 
 
 def test_reports_the_quartiles_of_the_per_pair_ratio():

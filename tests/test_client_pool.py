@@ -172,16 +172,16 @@ def test_client_error_is_located_and_leaves_no_child(two_cpus, threads):
     assert multiprocessing.active_children() == []
 
 
-def test_direct_run_round_uses_a_pool_for_that_call_only(two_cpus, client_calls):
+def test_direct_run_round_trains_in_this_process(two_cpus, client_calls):
+    # only run_experiment reads threads: a round without a pool forks nothing
     config, train, partition, test = tiny_inputs(threads=2)
     clients = ffed.partition_dataset(train, partition)
     state = ServerState(init_params(4, 8, 6, 3, seed=0))
     rng = np.random.default_rng(0)
     for _ in range(2):
         state, _ = run_round(state, clients, config, rng, test)
-        assert multiprocessing.active_children() == []
-    # each call made its own pool
-    assert len({id(w) for w in client_calls}) == 2
+    assert client_calls == [None] * 8
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_count_is_capped_by_the_usable_cpus(two_cpus, monkeypatch):

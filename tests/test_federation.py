@@ -22,6 +22,7 @@ from fedsc.errors import (
     EmptyDatasetError,
     InvalidArgumentError,
     MalformedCsvError,
+    NonfiniteGradientError,
     check_float_fields,
     check_int_fields,
 )
@@ -300,9 +301,8 @@ class TestRunRound:
         clients = partition_dataset(ds, small_partition())
         states = []
         for order in (clients, clients[::-1]):
-            state = ServerState(init_params(4, 8, 6, 3, seed=0))
-            run_round(state, order, small_config(rounds=1),
-                      np.random.default_rng(0), ds)
+            state, _ = run_round(ServerState(init_params(4, 8, 6, 3, seed=0)), order,
+                                 small_config(rounds=1), np.random.default_rng(0), ds)
             states.append(state)
         # the build pairs each report with its client's class counts, in
         # ascending id order, whatever the order of ``clients``
@@ -332,21 +332,42 @@ class TestRunRound:
         with pytest.raises(EmptyDatasetError):
             evaluate_accuracy(state.params, empty.features, empty.labels)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_client_errors_leave_the_state_as_it_was(self):
+        # the first step's overflowing weights give a nonfinite gradient
+        ds = small_dataset()
+        clients = partition_dataset(ds, small_partition())
+        state = ServerState(init_params(4, 8, 6, 3, seed=0))
+        before = state.params.flat.tobytes()
+        config = small_config(rounds=1, optimizer=OptimizerConfig(
+            learning_rate=1e200, batch_size=16))
+        with pytest.raises(NonfiniteGradientError, match=r"^round 1, client \d+: "):
+            run_round(state, clients, config, np.random.default_rng(0), ds)
+        assert state.round_index == 0
+        assert state.params.flat.tobytes() == before
+        assert state.latest_prototypes == {}
+        assert state.relational is None
+
     def test_server_errors_name_their_round(self):
         # every client's stale report holds a zero-norm prototype; the one
         # client selected this round replaces its own, so the others reach
         # the server build
         ds = small_dataset()
         clients = partition_dataset(ds, small_partition())
-        state = ServerState(init_params(4, 8, 6, 3, seed=0))
-        for c in clients:
-            state.latest_prototypes[c.client_id] = PrototypeSet(
-                np.zeros((3, 6)), np.array([True, False, False]), owner=c.client_id)
+        stale = {c.client_id: PrototypeSet(np.zeros((3, 6)), np.array([True, False, False]),
+                                           owner=c.client_id) for c in clients}
+        state = ServerState(init_params(4, 8, 6, 3, seed=0), latest_prototypes=dict(stale))
+        before = state.params.flat.tobytes()
         with pytest.raises(DegeneratePrototypeError,
                            match=r"^round 1, server: zero-norm prototype for class 1, "
                                  r"client \d+$"):
             run_round(state, clients, small_config(rounds=1, participation_fraction=0.25),
                       np.random.default_rng(0), ds)
+        assert state.round_index == 0
+        assert state.params.flat.tobytes() == before
+        assert state.latest_prototypes.keys() == stale.keys()
+        assert all(state.latest_prototypes[i] is stale[i] for i in stale)
+        assert state.relational is None
 
 
 class TestRunExperiment:

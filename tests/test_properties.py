@@ -1,13 +1,17 @@
 """What makes a prototype relational: properties of ``build_collaboration``
-that hold for any reports, not only for the formulas' reference values.
+that hold for any reports, not only for the formulas' reference values, and
+of the composite loss that trains against them.
 
-Each property names a mutation of the server pipeline that it catches.
+Each property names a mutation of the server pipeline or the loss that it
+catches.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fedsc.prototypes import PrototypeSet, build_collaboration
+from fedsc.losses import compute_normalizers, total_loss
+from fedsc.model import FeatureBatch, ModelParams, forward_features
+from fedsc.prototypes import ConsistentSet, PrototypeSet, RelationalSet, build_collaboration
 
 # bounded and derandomized like tests/test_fuzz.py: the same examples every run
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -151,3 +155,65 @@ def test_a_tie_goes_to_the_lower_report_position(d, seed):
     perm = np.array([2, 1, 0])
     moved = build(vectors[perm], present[perm], counts[perm], 1, owners=perm + 1)
     assert moved.adjacency[0].tolist() == [[1, 1, 0], [0, 1, 1], [0, 1, 1]]
+
+
+def loss_inputs(inputs, neighbors, seed):
+    """A model of the reports' feature width with random weights and biases
+    (so no feature row is zero), a labelled batch of 12 rows, and the
+    collaboration built from the reports."""
+    vectors, present, counts = inputs
+    c, d = present.shape[1], vectors.shape[2]
+    rng = np.random.default_rng(seed)
+    params = ModelParams(*(rng.standard_normal(shape) for shape in
+                           ((3, 8), 8, (8, d), d, (d, c), c)))
+    x, labels = rng.standard_normal((12, 3)), rng.integers(1, c + 1, size=12)
+    return params, x, labels, build(vectors, present, counts, neighbors)
+
+
+def loss_at(params, x, labels, relational, consistent):
+    batch = forward_features(params, x, labels)
+    context = compute_normalizers(batch.z, relational)
+    return total_loss(batch, relational, consistent, context, params)
+
+
+@PROPERTY
+@given(reports(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_rotating_features_prototypes_and_classifier_rotates_grad_z(
+        inputs, neighbors, seed):
+    # z -> z Q (through w2 and b2), r -> r Q, o -> o Q and v -> Q^T v keep
+    # the logits, cosines and distances.  Catches a coordinatewise norm, such
+    # as an L1 feature norm in RPCL's cosine or an L1 distance in the
+    # normalizers, and a coordinatewise CPDR gradient such as its sign
+    params, x, labels, built = loss_inputs(inputs, neighbors, seed)
+    d = params.feature_dim
+    q, _ = np.linalg.qr(np.random.default_rng(seed + 1).standard_normal((d, d)))
+    rel, con = built.relational, built.consistent
+    base = loss_at(params, x, labels, rel, con)
+    turned = ModelParams(params.w1, params.b1, params.w2 @ q, params.b2 @ q,
+                         q.T @ params.v, params.c)
+    moved = loss_at(turned, x, labels, RelationalSet(rel.r @ q, rel.valid),
+                    ConsistentSet(con.o @ q, con.present))
+    for term in ("ce", "rpcl", "cpdr"):
+        assert np.isclose(getattr(moved, term), getattr(base, term),
+                          rtol=0, atol=1e-12), term
+    assert np.allclose(moved.grad_z, base.grad_z @ q, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(reports(), st.integers(0, 3), st.integers(0, 2**32 - 1),
+       st.randoms(use_true_random=False))
+def test_permuting_the_batch_permutes_grad_z(inputs, neighbors, seed, rand):
+    # a sample's loss and gradient depend on its own row and label alone.
+    # Catches a label paired with another row, such as CPDR gathering the
+    # consistent prototypes of the sorted labels
+    params, x, labels, built = loss_inputs(inputs, neighbors, seed)
+    perm = np.array(rand.sample(range(len(x)), len(x)))
+    rel, con = built.relational, built.consistent
+    batch = forward_features(params, x, labels)
+    context = compute_normalizers(batch.z, rel)
+    base = total_loss(batch, rel, con, context, params)
+    moved = total_loss(FeatureBatch(*(a[perm] for a in (batch.inputs, batch.pre1,
+                                                          batch.act1, batch.z, labels))),
+                       rel, con, context, params)
+    assert np.array_equal(moved.grad_z, base.grad_z[perm])
+    assert np.isclose(moved.total, base.total, rtol=0, atol=1e-12)

@@ -125,11 +125,10 @@ def summarize_end_to_end(runs: list[dict], declared: list[dict]) -> dict:
 def summarize_per_layer(runs: list[dict]) -> dict:
     """Each per-layer metric's median over each side's traced runs."""
     sides = _by_side(runs)
-    names = sides["parent"][0]["result"]["metrics"] if sides["parent"] else {}
     return {name: {side: statistics.median(r["result"]["metrics"][name]
                                            for r in sides[side])
-                   for side in sides if sides[side]}
-            for name in names}
+                   for side in sides}
+            for name in sides["parent"][0]["result"]["metrics"]}
 
 
 def summarize(results: dict, declared: list[dict]) -> dict:
@@ -138,7 +137,8 @@ def summarize(results: dict, declared: list[dict]) -> dict:
     summary = {}
     for group, runs in results.items():
         done = [r for r in runs if r["result"] is not None]
-        if not done:
+        if {r["side"] for r in done} != {"parent", "change"}:
+            # a side with no result leaves nothing to compare
             summary[group] = {"no_result": _no_result(runs)}
         elif done[0]["result"]["trace"]:
             summary[group] = summarize_per_layer(runs)
@@ -265,13 +265,14 @@ def main(argv=None) -> int:
 
 def report(group: str, summary: dict) -> list[str]:
     """One line per end-to-end metric of a group's summary, with the runs
-    that left no result; a group whose runs all crashed gets one line."""
+    that left no result; a group where every run of a side crashed gets one
+    line."""
     if "no_result" not in summary:
         return []
     no_result = summary["no_result"]
     crashed = f"no result parent {no_result['parent']} change {no_result['change']}"
     if set(summary) == {"no_result"}:
-        return [f"{group}: every run crashed, {crashed}"]
+        return [f"{group}: every run of a side crashed, {crashed}"]
     return [f"{group} {name}: {entry['parent']['median']:.6g} -> "
             f"{entry['change']['median']:.6g}, change won "
             f"{entry['change_wins']}/{summary['pairs']}, {_ratio(entry)}, {crashed}, "
