@@ -6,13 +6,11 @@ distance-normalized cosine similarities); CPDR penalizes the distance to the
 class's consistent prototype.  The total loss is the unweighted sum
 CE + RPCL + CPDR.
 
-CPDR defaults to the mean squared coordinate distance (``"sq"``): its
-gradient ``2 (z - o) / d`` is Lipschitz, so the composite loss stays
-L1-smooth as the convergence bounds in ``fedsc.theory`` assume, and the pull
-fades as a feature reaches its prototype.  Averaging over the d coordinates
-keeps the term on the scale of CE and RPCL at any feature width.  The
-summed L1 distance (``"l1"``) remains as an ablation; its unit-scale
-gradient jumps at the prototype.
+CPDR is the mean squared coordinate distance: its gradient
+``2 (z - o) / d`` is Lipschitz, so the composite loss stays L1-smooth as the
+convergence bounds in ``fedsc.theory`` assume, and the pull fades as a
+feature reaches its prototype.  Averaging over the d coordinates keeps the
+term on the scale of CE and RPCL at any feature width.
 
 The per-sample CE and RPCL functions are the readable reference;
 ``total_loss`` runs a vectorized batch path that the tests pin against
@@ -54,8 +52,7 @@ from .prototypes import ConsistentSet, RelationalSet, ValidRows
 
 _EPS = 1e-12
 
-CPDR_NORMS = ("sq", "l1")
-DEFAULT_CPDR_NORM = "sq"
+CPDR_NORM = "sq"
 
 
 @dataclass(frozen=True)
@@ -310,21 +307,15 @@ def _rpcl_batch(
 
 
 def _cpdr_batch(
-    z: np.ndarray, idx: np.ndarray, consistent: ConsistentSet, norm: str
+    z: np.ndarray, idx: np.ndarray, consistent: ConsistentSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized CPDR with 0-based class indices ``idx``; samples of classes
     without a prototype contribute zero."""
     active = consistent.present[idx]
     grad = z - consistent.o[idx]                # the difference, then its gradient
-    if norm == "sq":
-        losses = (grad**2).sum(axis=1) / grad.shape[1]
-        grad *= 2.0
-        grad /= grad.shape[1]
-    elif norm == "l1":
-        losses = np.abs(grad).sum(axis=1)
-        np.sign(grad, out=grad)
-    else:
-        raise InvalidArgumentError(f"unknown cpdr norm '{norm}'")
+    losses = (grad**2).sum(axis=1) / grad.shape[1]
+    grad *= 2.0
+    grad /= grad.shape[1]
     losses *= active
     grad *= active[:, None]
     return losses, grad
@@ -348,7 +339,7 @@ def total_loss(
     consistent: ConsistentSet | None,
     context: SimilarityContext | None,
     params: ModelParams,
-    cpdr_norm: str = DEFAULT_CPDR_NORM,
+    cpdr_norm: str = CPDR_NORM,
 ) -> LossBreakdown:
     """Batch-mean composite loss CE + RPCL + CPDR with upstream gradients.
 
@@ -356,14 +347,20 @@ def total_loss(
     ``context``) are given, and per sample only where the sample's class has
     valid prototypes; otherwise they contribute zero, which makes a run
     without prototypes identical to plain cross-entropy training.
+    ``cpdr_norm`` accepts only ``CPDR_NORM``, the one CPDR form.
     """
+    if cpdr_norm != CPDR_NORM:
+        raise InvalidArgumentError(f"unknown cpdr norm '{cpdr_norm}'")
     if batch.labels is None:
         raise InvalidArgumentError("batch must carry labels")
     labels = batch.labels
+    n = batch.z.shape[0]
+    if labels.shape != (n,):
+        raise DimensionMismatchError(
+            f"labels shape {labels.shape} does not match {n} feature rows")
     num_classes = params.num_classes
     if labels.min() < 1 or labels.max() > num_classes:
         raise LabelOutOfRangeError(f"labels outside 1..{num_classes}")
-    n = batch.z.shape[0]
     logits = forward_logits(params, batch.z)
     _check_prototype_shapes(num_classes, params.feature_dim, relational,
                             consistent, context)
@@ -377,7 +374,7 @@ def total_loss(
         rpcl_losses, grad_z = _rpcl_batch(batch.z, idx, *context._scaled(relational))
         rpcl = float(rpcl_losses.sum() / n)
     if consistent is not None:
-        cpdr_losses, cpdr_grad = _cpdr_batch(batch.z, idx, consistent, cpdr_norm)
+        cpdr_losses, cpdr_grad = _cpdr_batch(batch.z, idx, consistent)
         cpdr = float(cpdr_losses.sum() / n)
         if grad_z is None:
             grad_z = cpdr_grad

@@ -13,10 +13,8 @@ L2-continuous feature extractor):
 ``estimate_constants`` recovers empirical lower bounds for the constants
 from a recorded training trace.
 
-The composite loss meets the L1-smooth assumption with the default CPDR form
-(``cpdr_norm="sq"``, a mean squared distance whose gradient is Lipschitz).
-The ``"l1"`` CPDR ablation does not: its gradient jumps at the consistent
-prototype, so these bounds do not cover runs that use it.
+The composite loss meets the L1-smooth assumption: its CPDR term is a mean
+squared distance, whose gradient is Lipschitz.
 """
 
 from __future__ import annotations

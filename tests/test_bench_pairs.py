@@ -139,6 +139,28 @@ def test_reports_the_quartiles_of_the_per_pair_ratio():
     assert "no pair ratio" in bench_pairs.report("g", lone)[0]
 
 
+def test_a_zero_parent_median_is_judged_not_divided_by():
+    # a side that stops counting a metric reports 0 for it; this raised
+    # ZeroDivisionError before the BENCH file was written
+    runs, declared = synthetic_runs([0.0, 0.0], [0.0, 5.0])
+    summary = bench_pairs.summarize({"g": runs}, declared)["g"]
+    for name in ("wall_s", "train_samples_per_s"):
+        entry = summary[name]
+        assert entry["relative_worsening"] is None
+        assert entry["parent_iqr_over_median"] is None
+        # the change's runs 0 and 5 spread around their median 2.5
+        assert entry["verdict"] == "unresolved"
+    assert len(bench_pairs.report("g", summary)) == len(declared)
+    # a worsening from a zero median is worse, and 0 against 0 is no change
+    runs, _ = synthetic_runs([0.0, 0.0], [5.0, 5.0])
+    moved = bench_pairs.summarize({"g": runs}, declared)["g"]
+    assert moved["wall_s"]["verdict"] == "worse"
+    assert moved["train_samples_per_s"]["verdict"] == "gain"
+    runs, _ = synthetic_runs([0.0, 0.0], [0.0, 0.0])
+    still = bench_pairs.summarize({"g": runs}, declared)["g"]
+    assert {still[m["name"]]["verdict"] for m in declared} == {"within bound"}
+
+
 # a tier-1 run with one failed criterion, as ``pytest -q`` prints it
 TIER1_STDOUT = """\
 ........................................................................ [ 15%]

@@ -299,28 +299,31 @@ class TestConfigLayering:
                 "algorithm", "rounds", "local_epochs", "participation_fraction",
                 "neighbors", "temperature", "learning_rate", "momentum",
                 "weight_decay", "batch_size", "hidden_dim", "feature_dim",
-                "cpdr_norm", "seed", "threads",
+                "seed", "threads",
             },
             "output": {"dir"},
         }
-        # the loss terms carry no weights, as keys or as flags
-        cfg = tmp_path / "weights.ini"
-        for key in ("rpcl_weight", "cpdr_weight"):
-            cfg.write_text(f"[federation]\n{key} = 2\n")
-            assert run_cli("generate", "--config", str(cfg),
-                           "--out", str(tmp_path)) == 2
-            assert capsys.readouterr().err.startswith("fedsc: invalid-config:")
-            with pytest.raises(SystemExit) as info:
-                tiny_generate(tmp_path, ("--" + key.replace("_", "-"), "2"))
-            assert info.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+        # the loss terms carry no weights and CPDR has one form, so none of
+        # these is a key or a flag
+        cfg = tmp_path / "removed.ini"
+        for key, value in (("rpcl_weight", "2"), ("cpdr_weight", "2"),
+                           ("cpdr_norm", "sq")):
+            cfg.write_text(f"[federation]\n{key} = {value}\n")
+            for command in ("generate", "run"):
+                assert run_cli(command, "--config", str(cfg),
+                               "--out", str(tmp_path)) == 2
+                assert capsys.readouterr().err.startswith("fedsc: invalid-config:")
+                with pytest.raises(SystemExit) as info:
+                    run_cli(command, *TINY, "--out", str(tmp_path),
+                            "--" + key.replace("_", "-"), value)
+                assert info.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "train.fsd").exists()
 
     def test_bad_values_are_config_errors(self, tmp_path):
         tiny_generate(tmp_path)
         assert tiny_run(tmp_path, ("--alpha", "0.0")) == 2
         assert tiny_run(tmp_path, ("--algorithm", "sgd")) == 2
-        assert tiny_run(tmp_path, ("--cpdr-norm", "l2")) == 2
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[federation]\nrounds = soon\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2

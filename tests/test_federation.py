@@ -1,7 +1,7 @@
 """Federated rounds: client training, aggregation, determinism, metrics IO."""
 
 import tracemalloc
-from dataclasses import make_dataclass
+from dataclasses import fields, make_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -93,8 +93,6 @@ class TestFederationConfig:
             dict(temperature=float("nan")),
             dict(temperature=float("inf")),
             dict(algorithm="fedprox"),
-            dict(cpdr_norm="linf"),
-            dict(cpdr_norm="l2"),
             dict(threads=0),
             dict(seed=-1),
             dict(hidden_dim=0),
@@ -102,6 +100,13 @@ class TestFederationConfig:
         ):
             with pytest.raises(InvalidArgumentError):
                 FederationConfig(**bad)
+
+    def test_cpdr_norm_is_not_a_field(self):
+        # CPDR has one form; the name stays readable, with that one value
+        assert "cpdr_norm" not in {f.name for f in fields(FederationConfig)}
+        assert FederationConfig().cpdr_norm == "sq"
+        with pytest.raises(TypeError):
+            FederationConfig(cpdr_norm="sq")
 
 
 # without postponed annotations a field's type is the int class itself
@@ -293,6 +298,11 @@ class TestAggregateModels:
         params = init_params(3, 4, 3, 2, seed=0)
         with pytest.raises(InvalidArgumentError):
             aggregate_models([(params, 0)])
+        # a model of another layout must not reach numpy's broadcasting
+        five, six = (init_params(4, hidden, 6, 3, seed=0) for hidden in (5, 6))
+        for pair in ((five, six), (six, five)):
+            with pytest.raises(DimensionMismatchError, match="layout"):
+                aggregate_models([(m, 1) for m in pair])
 
 
 class TestRunRound:

@@ -58,22 +58,31 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, lower: bool,
     its median is better by more than the parent's interquartile range.
     ``unresolved``: either side's interquartile range is wider than
     ``bound`` of its median, unless every change run beats every parent run.
-    ``worse``: the median worsened by more than ``bound``.  Otherwise
-    ``within bound``.
+    ``worse``: the median worsened by more than ``bound`` of the parent's.
+    Otherwise ``within bound``.  Both tests multiply by the median rather
+    than divide by it, so a zero median (a metric that a side stopped
+    counting) is judged too: any spread around it is too wide, and any
+    worsening from it is worse.
     """
     sign = 1.0 if lower else -1.0
     p_med, c_med = parent["median"], change["median"]
     if (not crashed and wins >= 0.9 * pairs
             and sign * (p_med - c_med) > parent["q3"] - parent["q1"]):
         return "gain"
-    spread = max((side["q3"] - side["q1"]) / side["median"] for side in (parent, change))
+    wide = any(side["q3"] - side["q1"] > bound * side["median"]
+               for side in (parent, change))
     p_runs, c_runs = parent["sorted_runs"], change["sorted_runs"]
     separated = (c_runs[-1] < p_runs[0]) if lower else (c_runs[0] > p_runs[-1])
-    if spread > bound and not separated:
+    if wide and not separated:
         return "unresolved"
-    if sign * (c_med - p_med) / p_med > bound:
+    if sign * (c_med - p_med) > bound * p_med:
         return "worse"
     return "within bound"
+
+
+def _over(num: float, den: float) -> float | None:
+    """``num / den``, or None (``null`` in the BENCH file) when ``den`` is 0."""
+    return num / den if den else None
 
 
 def _by_side(runs: list[dict]) -> dict[str, list[dict]]:
@@ -107,13 +116,13 @@ def summarize_end_to_end(runs: list[dict], declared: list[dict]) -> dict:
             p, c = pair_of["parent"][i][name], pair_of["change"][i][name]
             wins += (c < p) if lower else (c > p)
             ratios.append(c / p if p else math.inf)
-        worsening = (change["median"] - parent["median"]) / parent["median"]
+        gap = change["median"] - parent["median"]
         out[name] = {
             "parent": parent, "change": change, "change_wins": wins,
             "pair_ratio": quartiles(ratios) if ratios else None,
-            "relative_worsening": worsening if lower else -worsening,
+            "relative_worsening": _over(gap if lower else -gap, parent["median"]),
             "bound": bound,
-            "parent_iqr_over_median": (parent["q3"] - parent["q1"]) / parent["median"],
+            "parent_iqr_over_median": _over(parent["q3"] - parent["q1"], parent["median"]),
             "verdict": verdict(parent, change, wins, len(pairs), lower, bound,
                                sum(no_result.values())),
         }
