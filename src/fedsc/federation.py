@@ -30,10 +30,11 @@ from .errors import (
     check_float_fields,
     check_int_fields,
 )
-from .losses import CPDR_NORM, compute_normalizers, total_loss
+from .losses import CPDR_NORM, check_loss_inputs, compute_normalizers, total_loss
 from .model import (
     ModelParams,
     OptimizerConfig,
+    StepArrays,
     backward,
     evaluate_accuracy,
     extract_features,
@@ -190,24 +191,49 @@ def _train_client(
     The momentum buffer starts at zero on every call.  The composite loss
     applies exactly when both relational and consistent prototypes are
     given; otherwise training is plain cross-entropy.  The server decides
-    which: :func:`run_round` sends fedavg clients none.  Distance normalizers
-    are recomputed from a feature snapshot at the start of every epoch.  The
-    snapshot and the final prototypes read whole-shard features from
-    ``extract_features``, which streams the shard in row blocks; only the
-    step's minibatches keep activations for backward.
+    which: :func:`run_round` sends fedavg clients none.  The final
+    prototypes read whole-shard features from ``extract_features``, which
+    streams the shard in row blocks.
+    """
+    params = global_params.copy()
+    if relational is None or consistent is None:
+        relational = consistent = None
+    terms = _local_epochs(params, dataset, config, round_index, relational, consistent)
+    final_z = extract_features(params, dataset.features)
+    prototypes = prototypes_from_features(final_z, dataset.labels, dataset.num_classes,
+                                          owner=dataset.client_id)
+    ce, rpcl, cpdr, tot = (np.sum(terms, axis=0) / len(terms)).tolist()
+    return ClientUpdate(params, prototypes, ce, rpcl, cpdr, tot)
+
+
+def _local_epochs(
+    params: ModelParams,
+    dataset: ClientDataset,
+    config: FederationConfig,
+    round_index: int,
+    relational: RelationalSet | None,
+    consistent: ConsistentSet | None,
+) -> list[tuple[float, float, float, float]]:
+    """Train ``params`` in place and return each step's (ce, rpcl, cpdr,
+    total).
+
+    The steps write into one :class:`StepArrays`, freed when this returns,
+    so the labels and prototype shapes are checked once per call and the
+    context once per epoch, by ``compute_normalizers``, which recomputes the
+    distance normalizers from a feature snapshot at every epoch start.  Only
+    the step's minibatches keep activations for backward.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _TAG_CLIENT, round_index,
                                 dataset.client_id))
     )
-    params = global_params.copy()
     buf = np.zeros(params.flat.size)
-    if relational is None or consistent is None:
-        relational = consistent = None
-    x, y = dataset.features.astype(np.float64), dataset.labels
+    x, y = dataset.features, dataset.labels
+    check_loss_inputs(y, params, relational, consistent)
+    width = 0 if relational is None else len(relational.valid_rows.cells)
     size = config.optimizer.batch_size
-    sums = np.zeros(4)
-    batches = 0
+    arrays = StepArrays(params, x, size, width)
+    terms = []
     for _ in range(config.local_epochs):
         context = None
         if relational is not None:
@@ -215,21 +241,17 @@ def _train_client(
             context = compute_normalizers(snapshot, relational, config.temperature)
         order = rng.permutation(dataset.num_samples)
         # each epoch's minibatches are consecutive slices of one shuffled copy
-        xs, ys = x[order], y[order]
+        xs, ys = arrays.shard[order], y[order]
         for start in range(0, dataset.num_samples, size):
             fb = forward_features(params, xs[start:start + size],
-                                  ys[start:start + size])
-            breakdown = total_loss(fb, relational, consistent, context, params)
-            grads = backward(params, fb, breakdown.grad_z, breakdown.grad_logits)
+                                  ys[start:start + size], arrays=arrays)
+            breakdown = total_loss(fb, relational, consistent, context, params,
+                                   arrays=arrays)
+            grads = backward(params, fb, breakdown.grad_z, breakdown.grad_logits,
+                             arrays=arrays)
             sgd_step(params, grads, buf, config.optimizer)
-            sums += (breakdown.ce, breakdown.rpcl, breakdown.cpdr, breakdown.total)
-            batches += 1
-
-    final_z = extract_features(params, x)
-    prototypes = prototypes_from_features(final_z, y, dataset.num_classes,
-                                          owner=dataset.client_id)
-    ce, rpcl, cpdr, tot = (sums / batches).tolist()
-    return ClientUpdate(params, prototypes, ce, rpcl, cpdr, tot)
+            terms.append((breakdown.ce, breakdown.rpcl, breakdown.cpdr, breakdown.total))
+    return terms
 
 
 def aggregate_models(

@@ -17,6 +17,19 @@ The per-sample CE and RPCL functions are the readable reference;
 them.  The batch RPCL folds ``1 / (u tau)`` into the prototypes, so its
 scores and gradient may differ from the reference in the last bits.
 
+The batch path spends one numpy call wherever it can, because at training
+shapes a call costs more than its arithmetic.  The logits are
+``[z, 1] @ [v; c]``, one product with the classifier's folded bias (see
+``fedsc.model``).  RPCL forms its coefficients as
+``c = w (1 / s_all - pos / s_pos)`` and its per-row dot products with
+``einsum``; CPDR scales the difference ``z - o`` by one factor per class,
+``2 / d`` where the class has a consistent prototype and 0 elsewhere; and
+``compute_normalizers`` forms every squared distance in one product.  Given
+a client's ``StepArrays``, ``total_loss`` writes into them and checks
+nothing, because the client checked its labels and prototypes once with
+``check_loss_inputs``; without them it allocates its own arrays and checks
+every call, and both run the same arithmetic.
+
 RPCL's inputs are split by how often they change.  What depends on the
 relational set alone (its valid rows, their norms, a (class, prototype)
 positive table and a per-class flag for "has a positive and a negative") is
@@ -47,7 +60,7 @@ from .errors import (
     NoNegativePrototypeError,
     NoPositivePrototypeError,
 )
-from .model import _BLOCK_ROWS, FeatureBatch, ModelParams, forward_logits
+from .model import FeatureBatch, ModelParams, StepArrays
 from .prototypes import ConsistentSet, RelationalSet, ValidRows
 
 _EPS = 1e-12
@@ -147,19 +160,22 @@ def compute_normalizers(
             f"features dim {feats.shape[1]} != prototype dim {d}"
         )
     rows = relational.valid_rows
-    # ||z - r||^2 = (||z||^2 + ||r||^2) - 2 z.r, clipped against rounding; the
-    # cross term is one product (a row block of it may differ in the last
-    # bit), turned into the squared distance a block of rows at a time
-    zz, rr = np.sum(feats**2, axis=1), rows.sq_norms
-    sq = feats @ rows.rows.T
-    sq *= 2.0                                   # exact, and no (n, d) temporary
-    for start in range(0, len(sq), _BLOCK_ROWS):
-        block = sq[start:start + _BLOCK_ROWS]
-        np.subtract(zz[start:start + _BLOCK_ROWS, None] + rr, block, out=block)
+    # ||z - r||^2 = ||z||^2 + ||r||^2 - 2 z.r is one product,
+    # [z, ||z||^2, 1] @ [-2 r, 1, ||r||^2]^T, clipped against rounding
+    n = feats.shape[0]
+    lhs = np.empty((n, d + 2))
+    lhs[:, :d] = feats
+    lhs[:, d] = np.einsum("ij,ij->i", feats, feats)
+    lhs[:, d + 1] = 1.0
+    rhs = np.empty((len(rows.rows), d + 2))
+    np.multiply(rows.rows, -2.0, out=rhs[:, :d])
+    rhs[:, d] = 1.0
+    rhs[:, d + 1] = rows.sq_norms
+    sq = lhs @ rhs.T
     np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
     u = np.zeros(relational.valid.size)
-    u[rows.cells] = sq.sum(axis=0) / feats.shape[0]
+    u[rows.cells] = sq.sum(axis=0) / n
     context = SimilarityContext(u.reshape(relational.valid.shape), relational.valid, tau)
     context._scaled(relational)  # once per epoch, and its errors belong to this call
     return context
@@ -270,40 +286,43 @@ def ce_loss_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]
 
 
 def _rpcl_batch(
-    z: np.ndarray, idx: np.ndarray, rows: ValidRows, r_scaled: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    z: np.ndarray, idx: np.ndarray, rows: ValidRows, r_scaled: np.ndarray,
+    grad: np.ndarray, s: np.ndarray, w: np.ndarray, c: np.ndarray,
+) -> np.ndarray:
     """Vectorized RPCL over a batch with 0-based class indices ``idx``;
-    samples without a valid positive or negative contribute zero."""
+    samples without a valid positive or negative contribute zero.  Returns
+    the per-sample losses and writes their gradients into ``grad``; ``s``,
+    ``w`` and ``c`` are (n, P) arrays it overwrites."""
     if r_scaled.shape[0] == 0:
-        return np.zeros(len(z)), np.zeros_like(z)
-    # np.linalg.norm(z, axis=1) without its wrapper
-    zn = np.sqrt(np.add.reduce(z * z, axis=1))
+        grad.fill(0.0)
+        return np.zeros(len(z))
+    zn = np.sqrt(np.einsum("ij,ij->i", z, z))
     if (zn < _EPS).any():
         raise DegenerateVectorError("zero-norm feature vector in batch")
     z_hat = z / zn[:, None]
-    s = z_hat @ r_scaled.T                      # (n, P): cos / (u tau)
+    np.matmul(z_hat, r_scaled.T, out=s)         # cos / (u tau)
 
-    w = s - s.max(axis=1, keepdims=True)
+    np.subtract(s, s.max(axis=1, keepdims=True), out=w)
     np.exp(w, out=w)
     s_all = w.sum(axis=1)
-    w_pos = w * rows.positive[idx]              # (n, P)
-    s_pos = np.maximum(w_pos.sum(axis=1), _EPS)
+    # the labels were checked, and a take that may clip needs no buffer
+    np.take(rows.positive, idx, axis=0, out=c, mode="clip")
+    s_pos = np.maximum(np.einsum("ij,ij->i", w, c), _EPS)
     losses = np.log(s_all) - np.log(s_pos)
 
-    # c = w / s_all - pos * (w / s_pos), zero for rows not contrasted
-    c = w / s_all[:, None]
-    w_pos /= s_pos[:, None]
-    c -= w_pos
+    # c = w (1 / s_all - pos / s_pos), zero for rows not contrasted
+    c *= (-1.0 / s_pos)[:, None]
+    c += (1.0 / s_all)[:, None]
+    c *= w
     if not rows.all_contrasted:
         active = rows.contrasted[idx]
         losses = np.where(active, losses, 0.0)
         c *= active[:, None]
-    s *= c
-    z_hat *= s.sum(axis=1)[:, None]
-    grad = c @ r_scaled
+    z_hat *= np.einsum("ij,ij->i", s, c)[:, None]
+    np.matmul(c, r_scaled, out=grad)
     grad -= z_hat
     grad /= zn[:, None]
-    return losses, grad
+    return losses
 
 
 def _cpdr_batch(
@@ -311,26 +330,45 @@ def _cpdr_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized CPDR with 0-based class indices ``idx``; samples of classes
     without a prototype contribute zero."""
-    active = consistent.present[idx]
-    grad = z - consistent.o[idx]                # the difference, then its gradient
-    losses = (grad**2).sum(axis=1) / grad.shape[1]
-    grad *= 2.0
-    grad /= grad.shape[1]
-    losses *= active
-    grad *= active[:, None]
+    # one factor per class: 2 / d where the class has a prototype, else 0
+    factor = ((2.0 / z.shape[1]) * consistent.present)[idx]
+    grad = consistent.o[idx]
+    np.subtract(z, grad, out=grad)              # the difference, then its gradient
+    losses = np.einsum("ij,ij->i", grad, grad)
+    losses *= 0.5 * factor
+    grad *= factor[:, None]
     return losses, grad
 
 
-def _ce_batch(logits: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ce_batch(logits: np.ndarray, idx: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy; writes its gradient into ``grad`` and
+    overwrites ``logits``."""
     rows = np.arange(len(idx))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    grad = np.exp(shifted)
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=grad)
     lse = np.log(grad.sum(axis=1))
-    losses = lse - shifted[rows, idx]
-    np.subtract(shifted, lse[:, None], out=grad)
+    losses = lse - logits[rows, idx]
+    np.subtract(logits, lse[:, None], out=grad)
     np.exp(grad, out=grad)
     grad[rows, idx] -= 1.0
-    return losses, grad
+    return losses
+
+
+def check_loss_inputs(
+    labels: np.ndarray,
+    params: ModelParams,
+    relational: RelationalSet | None,
+    consistent: ConsistentSet | None,
+    context: SimilarityContext | None = None,
+) -> None:
+    """What :func:`total_loss` checks at every call without step arrays,
+    which a caller that passes them checks once: the labels lie in
+    1..num_classes, and the prototypes and normalizers fit ``params``."""
+    num_classes = params.num_classes
+    if labels.min() < 1 or labels.max() > num_classes:
+        raise LabelOutOfRangeError(f"labels outside 1..{num_classes}")
+    _check_prototype_shapes(num_classes, params.feature_dim, relational,
+                            consistent, context)
 
 
 def total_loss(
@@ -340,6 +378,8 @@ def total_loss(
     context: SimilarityContext | None,
     params: ModelParams,
     cpdr_norm: str = CPDR_NORM,
+    *,
+    arrays: StepArrays | None = None,
 ) -> LossBreakdown:
     """Batch-mean composite loss CE + RPCL + CPDR with upstream gradients.
 
@@ -347,41 +387,58 @@ def total_loss(
     ``context``) are given, and per sample only where the sample's class has
     valid prototypes; otherwise they contribute zero, which makes a run
     without prototypes identical to plain cross-entropy training.
-    ``cpdr_norm`` accepts only ``CPDR_NORM``, the one CPDR form.
+    ``cpdr_norm`` accepts only ``CPDR_NORM``, the one CPDR form.  The logits
+    are ``[z, 1] @ [v; c]``, from the batch's augmented features.
+
+    With ``arrays`` the gradients are written into them and the inputs are
+    not checked: the caller checked them once with
+    :func:`check_loss_inputs`, and ``arrays`` has room for every valid
+    relational prototype.
     """
     if cpdr_norm != CPDR_NORM:
         raise InvalidArgumentError(f"unknown cpdr norm '{cpdr_norm}'")
     if batch.labels is None:
         raise InvalidArgumentError("batch must carry labels")
     labels = batch.labels
-    n = batch.z.shape[0]
-    if labels.shape != (n,):
-        raise DimensionMismatchError(
-            f"labels shape {labels.shape} does not match {n} feature rows")
-    num_classes = params.num_classes
-    if labels.min() < 1 or labels.max() > num_classes:
-        raise LabelOutOfRangeError(f"labels outside 1..{num_classes}")
-    logits = forward_logits(params, batch.z)
-    _check_prototype_shapes(num_classes, params.feature_dim, relational,
-                            consistent, context)
+    z = batch.z
+    n, d = z.shape
+    if arrays is None:
+        if labels.shape != (n,):
+            raise DimensionMismatchError(
+                f"labels shape {labels.shape} does not match {n} feature rows")
+        check_loss_inputs(labels, params, relational, consistent, context)
+        logits, grad_logits = np.empty((2, n, params.num_classes))
+        grad_z = np.empty((n, d))
+    else:
+        logits, grad_logits, grad_z = (arrays.logits[:n], arrays.grad_logits[:n],
+                                       arrays.grad_z[:n])
+    np.matmul(batch.z_aug, params.vc, out=logits)
 
     idx = labels - 1
-    ce_losses, ce_grad = _ce_batch(logits, idx)
+    ce_losses = _ce_batch(logits, idx, grad_logits)
     ce = float(ce_losses.sum() / n)
     rpcl = cpdr = 0.0
-    grad_z = None
-    if relational is not None and context is not None:
-        rpcl_losses, grad_z = _rpcl_batch(batch.z, idx, *context._scaled(relational))
+    rpcl_on = relational is not None and context is not None
+    if rpcl_on:
+        valid_rows, r_scaled = context._scaled(relational)
+        width = len(r_scaled)
+        if arrays is None:
+            s, w, c = np.empty((3, n, width))
+        else:
+            s, w, c = (a[:n, :width] for a in (arrays.scores, arrays.weights,
+                                               arrays.coef))
+        rpcl_losses = _rpcl_batch(z, idx, valid_rows, r_scaled, grad_z, s, w, c)
         rpcl = float(rpcl_losses.sum() / n)
     if consistent is not None:
-        cpdr_losses, cpdr_grad = _cpdr_batch(batch.z, idx, consistent)
+        cpdr_losses, cpdr_grad = _cpdr_batch(z, idx, consistent)
         cpdr = float(cpdr_losses.sum() / n)
-        if grad_z is None:
-            grad_z = cpdr_grad
-        else:
+        if rpcl_on:
             grad_z += cpdr_grad
-    if grad_z is None:
-        grad_z = np.zeros_like(batch.z)
-    grad_z /= n
-    ce_grad /= n
-    return LossBreakdown(ce, rpcl, cpdr, ce + rpcl + cpdr, grad_z, ce_grad)
+        else:
+            grad_z[...] = cpdr_grad
+    if rpcl_on or consistent is not None:
+        grad_z /= n
+    else:
+        grad_z.fill(0.0)
+    grad_logits /= n
+    return LossBreakdown(ce, rpcl, cpdr, ce + rpcl + cpdr, grad_z, grad_logits)

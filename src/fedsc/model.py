@@ -6,6 +6,23 @@ classifier maps z to logits = V z + c.  All arithmetic is float64.  The
 weights and each gradient are one flat vector apiece, with the layers as
 named views into it, so the optimizer works on whole vectors; its momentum
 buffer is a plain vector of the same size that the caller owns.
+
+Each bias is folded into its weight matrix.  The flat vector holds w1 b1 w2
+b2 v c back to back, so ``[w1; b1]``, ``[w2; b2]`` and ``[v; c]`` are
+(fan_in + 1, fan_out) views of it, and each layer is one product with an
+input that carries a trailing ones column:
+
+    pre1 = [x, 1] @ [w1; b1],  z = [relu(pre1), 1] @ [w2; b2],
+    logits = [z, 1] @ [v; c].
+
+Backward multiplies the same augmented inputs, transposed, by the upstream
+gradients, which gives each ``[W; b]`` gradient, bias row included, in one
+product.  A bias therefore costs no add of its own forward and no column sum
+backward.
+
+A client's minibatch steps can write into :class:`StepArrays`, allocated
+once per client; a call without them allocates its own arrays and checks
+its inputs, and both run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +43,9 @@ from .errors import (
 # weight fields in declaration order
 _FIELDS = ("w1", "b1", "w2", "b2", "v", "c")
 
+# each layer's [weights; bias] matrix: (name, weight field, bias field)
+_FOLDED = (("w1b1", "w1", "b1"), ("w2b2", "w2", "b2"), ("vc", "v", "c"))
+
 # extract_features and evaluate_accuracy work on this many rows at a time
 _BLOCK_ROWS = 512
 
@@ -35,8 +55,9 @@ class ModelParams:
 
     ``flat`` holds w1 b1 w2 b2 v c back to back in declaration order and
     each named field is a view into it, so an in-place write to either shows
-    in both (rebinding a field detaches it).  ``backward`` returns gradients
-    in this type as well.
+    in both (rebinding a field detaches it).  ``w1b1``, ``w2b2`` and ``vc``
+    are the folded layers ``[w1; b1]``, ``[w2; b2]`` and ``[v; c]``, views
+    into ``flat`` as well.  ``backward`` returns gradients in this type.
     """
 
     def __init__(self, w1, b1, w2, b2, v, c):
@@ -52,12 +73,15 @@ class ModelParams:
             or c.shape != (v.shape[1],)
         ):
             raise DimensionMismatchError("inconsistent parameter shapes")
-        # (field, its slice of flat, its shape), worked out once per layout
+        # (view, its slice of flat, its shape), worked out once per layout
         ends = np.cumsum([a.size for a in arrays]).tolist()
-        self._layout = tuple(
-            (name, slice(end - a.size, end), a.shape)
-            for name, a, end in zip(_FIELDS, arrays, ends)
-        )
+        fields = {name: (slice(end - a.size, end), a.shape)
+                  for name, a, end in zip(_FIELDS, arrays, ends)}
+        layout = [(name, *fields[name]) for name in _FIELDS]
+        for name, w, b in _FOLDED:
+            (w_part, (fan_in, fan_out)), (b_part, _) = fields[w], fields[b]
+            layout.append((name, slice(w_part.start, b_part.stop), (fan_in + 1, fan_out)))
+        self._layout = tuple(layout)
         self._bind(np.concatenate([a.ravel() for a in arrays]))
 
     def _bind(self, flat: np.ndarray) -> None:
@@ -101,13 +125,30 @@ class ModelParams:
 
 @dataclass
 class FeatureBatch:
-    """Forward-pass cache: inputs, hidden pre-activations, and features."""
+    """Forward-pass cache: each layer's input with a trailing ones column,
+    and the hidden pre-activations.
 
-    inputs: np.ndarray   # (n, d_in) float64
-    pre1: np.ndarray     # (n, hidden) before relu
-    act1: np.ndarray     # (n, hidden) after relu
-    z: np.ndarray        # (n, d) features
+    ``inputs``, ``act1`` and ``z`` are views of the leading columns of
+    ``inputs_aug``, ``act1_aug`` and ``z_aug``.
+    """
+
+    inputs_aug: np.ndarray  # (n, d_in + 1) [x, 1]
+    pre1: np.ndarray        # (n, hidden) before relu
+    act1_aug: np.ndarray    # (n, hidden + 1) [relu(pre1), 1]
+    z_aug: np.ndarray       # (n, d + 1) [z, 1]
     labels: np.ndarray | None = None  # 1-based, optional
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return self.inputs_aug[:, :-1]
+
+    @property
+    def act1(self) -> np.ndarray:
+        return self.act1_aug[:, :-1]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.z_aug[:, :-1]
 
 
 @dataclass
@@ -150,8 +191,9 @@ def init_params(
 
 
 def _checked_inputs(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """``inputs`` as a float64 (n, d_in) array for the extractor."""
-    x = np.asarray(inputs, dtype=np.float64)
+    """``inputs`` as an (n, d_in) array for the extractor, which copies them
+    into float64 arrays with a ones column."""
+    x = np.asarray(inputs)
     if x.ndim != 2 or x.shape[1] != params.d_in:
         raise DimensionMismatchError(
             f"inputs of shape {x.shape} do not match d_in={params.d_in}"
@@ -159,37 +201,78 @@ def _checked_inputs(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward_features(
-    params: ModelParams, inputs: np.ndarray, labels: np.ndarray | None = None
-) -> FeatureBatch:
-    """Run the extractor; caches activations for backward."""
-    x = _checked_inputs(params, inputs)
-    pre1 = x @ params.w1
-    pre1 += params.b1
-    act1 = np.maximum(pre1, 0.0)
-    z = act1 @ params.w2
-    z += params.b2
-    y = None if labels is None else np.asarray(labels, dtype=np.int64)
-    return FeatureBatch(x, pre1, act1, z, y)
+def _ones_after(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols + 1) array whose last column is ones, the rest unset."""
+    out = np.empty((rows, cols + 1))
+    out[:, -1] = 1.0
+    return out
 
 
-def forward_logits(params: ModelParams, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != params.feature_dim:
-        raise DimensionMismatchError(
-            f"features of shape {z.shape} do not match feature_dim={params.feature_dim}"
-        )
-    return z @ params.v + params.c
+class StepArrays:
+    """The arrays one client's minibatch steps write into, allocated once
+    per :func:`fedsc.federation.run_client` call.
 
-
-def extract_features(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """The features z of every row, with nothing cached for backward.
-
-    The extractor runs on blocks of ``_BLOCK_ROWS`` rows through one hidden
-    buffer, so its activations never hold more than a block, and z is
-    bitwise ``forward_features(params, inputs).z``.
+    ``shard`` is the client's inputs with a ones column, ``[x, 1]``; the
+    step's batches are row slices of each epoch's shuffled copy of it.
+    Every other array holds one batch of up to ``batch_size`` rows, and a
+    shorter last batch uses its leading rows: the forward's ``pre1``,
+    ``act1_aug`` and ``z_aug``, the loss's ``logits``, ``grad_logits``,
+    ``grad_z`` and three (rows, ``width``) RPCL arrays, where ``width`` is
+    the number of relational prototypes, and backward's ``grad_hidden``,
+    ``grad_pre1``, ``active`` and ``grads``.  What a step returns lives in
+    these arrays until the next step.
     """
-    x = _checked_inputs(params, inputs)
+
+    def __init__(self, params: ModelParams, inputs: np.ndarray, batch_size: int,
+                 width: int):
+        x = _checked_inputs(params, inputs)
+        n = min(batch_size, len(x))
+        self.shard = _ones_after(*x.shape)
+        self.shard[:, :-1] = x
+        self.pre1 = np.empty((n, params.hidden))
+        self.act1_aug = _ones_after(n, params.hidden)
+        self.z_aug = _ones_after(n, params.feature_dim)
+        self.logits = np.empty((n, params.num_classes))
+        self.grad_logits = np.empty((n, params.num_classes))
+        self.grad_z = np.empty((n, params.feature_dim))
+        self.scores, self.weights, self.coef = np.empty((3, n, width))
+        self.grad_hidden = np.empty((n, params.feature_dim))
+        self.grad_pre1 = np.empty((n, params.hidden))
+        self.active = np.empty((n, params.hidden), dtype=bool)
+        self.grads = params.with_flat(np.empty(params.flat.size))
+
+
+def forward_features(
+    params: ModelParams, inputs: np.ndarray, labels: np.ndarray | None = None,
+    *, arrays: StepArrays | None = None,
+) -> FeatureBatch:
+    """Run the extractor; caches activations for backward.
+
+    With ``arrays``, ``inputs`` are rows of ``arrays.shard``, ones column
+    included, nothing is checked, and the batch lives in ``arrays``.
+    """
+    if arrays is None:
+        x = _checked_inputs(params, inputs)
+        n = len(x)
+        x_aug = _ones_after(n, params.d_in)
+        x_aug[:, :-1] = x
+        pre1 = np.empty((n, params.hidden))
+        act_aug = _ones_after(n, params.hidden)
+        z_aug = _ones_after(n, params.feature_dim)
+        y = None if labels is None else np.asarray(labels, dtype=np.int64)
+    else:
+        x_aug, y = inputs, labels
+        n = len(x_aug)
+        pre1, act_aug, z_aug = arrays.pre1[:n], arrays.act1_aug[:n], arrays.z_aug[:n]
+    np.matmul(x_aug, params.w1b1, out=pre1)
+    np.maximum(pre1, 0.0, out=act_aug[:, :-1])
+    np.matmul(act_aug, params.w2b2, out=z_aug[:, :-1])
+    return FeatureBatch(x_aug, pre1, act_aug, z_aug, y)
+
+
+def _features_into(params: ModelParams, x: np.ndarray, out: np.ndarray) -> None:
+    """Write the features of the rows ``x`` into ``out``, ``_BLOCK_ROWS``
+    rows at a time through one augmented input and one hidden array."""
     n = len(x)
     # numpy multiplies a lone row as a matrix-vector product, whose sums may
     # differ in the last bit from the matrix product's, so the block before a
@@ -198,16 +281,27 @@ def extract_features(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     if n > 1 and n % _BLOCK_ROWS == 1:
         bounds.pop()
     bounds.append(n)
-    z = np.empty((n, params.feature_dim))
-    buf = np.empty((min(n, _BLOCK_ROWS + 1), params.hidden))
+    x_aug = _ones_after(min(n, _BLOCK_ROWS + 1), params.d_in)
+    act_aug = _ones_after(len(x_aug), params.hidden)
     for start, stop in zip(bounds, bounds[1:]):
-        rows = x[start:stop]
-        hidden, out = buf[:len(rows)], z[start:stop]
-        np.matmul(rows, params.w1, out=hidden)
-        hidden += params.b1
+        rows = stop - start
+        hidden = act_aug[:rows, :-1]
+        x_aug[:rows, :-1] = x[start:stop]
+        np.matmul(x_aug[:rows], params.w1b1, out=hidden)
         np.maximum(hidden, 0.0, out=hidden)
-        np.matmul(hidden, params.w2, out=out)
-        out += params.b2
+        np.matmul(act_aug[:rows], params.w2b2, out=out[start:stop])
+
+
+def extract_features(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """The features z of every row, with nothing cached for backward.
+
+    The extractor runs on blocks of ``_BLOCK_ROWS`` rows, so its activations
+    never hold more than a block, and z is bitwise
+    ``forward_features(params, inputs).z``.
+    """
+    x = _checked_inputs(params, inputs)
+    z = np.empty((len(x), params.feature_dim))
+    _features_into(params, x, z)
     return z
 
 
@@ -216,35 +310,44 @@ def backward(
     batch: FeatureBatch,
     grad_z: np.ndarray,
     grad_logits: np.ndarray,
+    *,
+    arrays: StepArrays | None = None,
 ) -> ModelParams:
     """Backpropagate upstream feature and logit gradients to the parameters.
 
     ``grad_z`` hits the extractor output directly; ``grad_logits`` flows
     through the classifier and then into the extractor as well.  The
-    gradients come back in ``params``' layout.
+    gradients come back in ``params``' layout, written into
+    ``arrays.grads`` when ``arrays`` is given, in which case nothing is
+    checked.
     """
-    n = batch.z.shape[0]
-    gz = np.asarray(grad_z, dtype=np.float64)
-    if gz.shape != batch.z.shape:
-        raise DimensionMismatchError(f"grad_z shape {gz.shape} != {batch.z.shape}")
-    gl = np.asarray(grad_logits, dtype=np.float64)
-    if gl.shape != (n, params.num_classes):
-        raise DimensionMismatchError(
-            f"grad_logits shape {gl.shape} != {(n, params.num_classes)}"
-        )
-
-    # every field is written below
-    grads = params.with_flat(np.empty(params.flat.size))
-    np.matmul(batch.z.T, gl, out=grads.v)
-    gl.sum(axis=0, out=grads.c)
-    gz_total = gl @ params.v.T
-    gz_total += gz
-    np.matmul(batch.act1.T, gz_total, out=grads.w2)
-    gz_total.sum(axis=0, out=grads.b2)
-    gpre1 = gz_total @ params.w2.T
-    gpre1 *= batch.pre1 > 0.0
-    np.matmul(batch.inputs.T, gpre1, out=grads.w1)
-    gpre1.sum(axis=0, out=grads.b1)
+    n = len(batch.z_aug)
+    if arrays is None:
+        gz = np.asarray(grad_z, dtype=np.float64)
+        if gz.shape != batch.z.shape:
+            raise DimensionMismatchError(f"grad_z shape {gz.shape} != {batch.z.shape}")
+        gl = np.asarray(grad_logits, dtype=np.float64)
+        if gl.shape != (n, params.num_classes):
+            raise DimensionMismatchError(
+                f"grad_logits shape {gl.shape} != {(n, params.num_classes)}"
+            )
+        # every field is written below
+        grads = params.with_flat(np.empty(params.flat.size))
+        hidden = np.empty((n, params.feature_dim))
+        gpre1 = np.empty((n, params.hidden))
+        active = np.empty((n, params.hidden), dtype=bool)
+    else:
+        gz, gl, grads = grad_z, grad_logits, arrays.grads
+        hidden, gpre1, active = (arrays.grad_hidden[:n], arrays.grad_pre1[:n],
+                                 arrays.active[:n])
+    np.matmul(batch.z_aug.T, gl, out=grads.vc)
+    np.matmul(gl, params.v.T, out=hidden)
+    hidden += gz
+    np.matmul(batch.act1_aug.T, hidden, out=grads.w2b2)
+    np.matmul(hidden, params.w2.T, out=gpre1)
+    np.greater(batch.pre1, 0.0, out=active)
+    gpre1 *= active
+    np.matmul(batch.inputs_aug.T, gpre1, out=grads.w1b1)
     return grads
 
 
@@ -286,9 +389,13 @@ def evaluate_accuracy(params: ModelParams, features: np.ndarray,
         raise DimensionMismatchError(
             f"labels shape {labels.shape} does not match {len(features)} samples"
         )
+    x = _checked_inputs(params, features)
+    z_aug = _ones_after(min(len(x), _BLOCK_ROWS), params.feature_dim)
     correct = 0
-    for start in range(0, len(features), _BLOCK_ROWS):
-        z = extract_features(params, features[start:start + _BLOCK_ROWS])
-        pred = np.argmax(forward_logits(params, z), axis=1) + 1
+    for start in range(0, len(x), _BLOCK_ROWS):
+        rows = x[start:start + _BLOCK_ROWS]
+        block = z_aug[:len(rows)]
+        _features_into(params, rows, block[:, :-1])
+        pred = np.argmax(block @ params.vc, axis=1) + 1
         correct += np.count_nonzero(pred == labels[start:start + _BLOCK_ROWS])
     return correct / len(features)

@@ -161,6 +161,24 @@ def test_a_zero_parent_median_is_judged_not_divided_by():
     assert {still[m["name"]]["verdict"] for m in declared} == {"within bound"}
 
 
+
+def test_a_zero_parent_leaves_the_bench_file_strict_json():
+    # a parent reading 0, as 0/0 in the first pair and 0 against 5 in the
+    # second, stored a ratio of inf, which json.dumps writes as Infinity
+    runs, declared = synthetic_runs([0.0, 0.0, 10.0], [0.0, 5.0, 9.0])
+    summary = bench_pairs.summarize({"g": runs}, declared)["g"]
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    parsed = json.loads(json.dumps(summary), parse_constant=refuse)
+    assert parsed["wall_s"]["pair_ratio"]["sorted_runs"] == [0.9]
+    runs, _ = synthetic_runs([0.0, 0.0], [0.0, 5.0])
+    summary = bench_pairs.summarize({"g": runs}, declared)["g"]
+    parsed = json.loads(json.dumps(summary), parse_constant=refuse)
+    assert parsed["wall_s"]["pair_ratio"] is None
+
+
 # a tier-1 run with one failed criterion, as ``pytest -q`` prints it
 TIER1_STDOUT = """\
 ........................................................................ [ 15%]

@@ -17,15 +17,26 @@ from fedsc.errors import (
     NoNegativePrototypeError,
     NoPositivePrototypeError,
 )
+from fedsc.data import ClientDataset
+from fedsc.federation import _TAG_CLIENT, FederationConfig, run_client
 from fedsc.losses import (
     SimilarityContext,
     _rpcl_batch,
     ce_loss_and_grad,
+    check_loss_inputs,
     compute_normalizers,
     rpcl_loss_and_grad,
     total_loss,
 )
-from fedsc.model import backward, forward_features, forward_logits, init_params
+from fedsc.model import (
+    OptimizerConfig,
+    StepArrays,
+    backward,
+    extract_features,
+    forward_features,
+    init_params,
+    sgd_step,
+)
 from fedsc.prototypes import ConsistentSet, RelationalSet
 
 
@@ -322,7 +333,7 @@ class TestTotalLoss:
         for seed, partial in ((0, False), (1, True), (2, True)):
             params, batch, rel, consistent, ctx = self.setup_case(seed, partial=partial)
             out = total_loss(batch, rel, consistent, ctx, params)
-            logits = forward_logits(params, batch.z)
+            logits = batch.z @ params.v + params.c
             n = batch.z.shape[0]
             ce_sum = rpcl_sum = cpdr_sum = 0.0
             for i in range(n):
@@ -344,7 +355,7 @@ class TestTotalLoss:
 
         def prototype_terms(z):
             fb = forward_features(params, batch.inputs, batch.labels)
-            fb.z = z
+            fb.z[:] = z
             got = total_loss(fb, rel, consistent, ctx, params)
             return got.rpcl + got.cpdr
 
@@ -361,7 +372,7 @@ class TestTotalLoss:
     def test_grad_logits_matches_ce_finite_differences(self):
         params, batch, rel, consistent, ctx = self.setup_case(seed=4)
         out = total_loss(batch, rel, consistent, ctx, params)
-        logits = forward_logits(params, batch.z)
+        logits = batch.z @ params.v + params.c
         h = 1e-6
         for i in range(2):
             for j in range(params.num_classes):
@@ -459,7 +470,7 @@ class TestTotalLoss:
         # perfbench's loss probe times total_loss again and again on one batch
         params, batch, rel, consistent, ctx = self.setup_case(seed=12, partial=True)
         rows, r_scaled = ctx._scaled(rel)
-        inputs = (params.flat, batch.inputs, batch.pre1, batch.act1, batch.z,
+        inputs = (params.flat, batch.inputs_aug, batch.pre1, batch.act1_aug, batch.z_aug,
                   batch.labels, ctx.u, ctx.valid, *rows[:-1], r_scaled, rel.r,
                   rel.valid, consistent.o, consistent.present)
         before = [a.tobytes() for a in inputs]
@@ -513,8 +524,14 @@ class TestTotalLoss:
         rows, r_scaled = ctx._scaled(rel)
         assert rows.all_contrasted
         idx = batch.labels - 1
-        skipped = _rpcl_batch(batch.z, idx, rows, r_scaled)
-        masked = _rpcl_batch(batch.z, idx, rows._replace(all_contrasted=False), r_scaled)
+
+        def rpcl(valid_rows):
+            grad = np.empty_like(batch.z)
+            scratch = np.empty((3, len(idx), len(r_scaled)))
+            return _rpcl_batch(batch.z, idx, valid_rows, r_scaled, grad, *scratch), grad
+
+        skipped = rpcl(rows)
+        masked = rpcl(rows._replace(all_contrasted=False))
         for a, b in zip(skipped, masked):
             assert a.tobytes() == b.tobytes()
 
@@ -562,3 +579,75 @@ class TestTotalLoss:
         short = forward_features(params, batch.inputs, batch.labels[:2])
         with pytest.raises(DimensionMismatchError, match="labels shape"):
             total_loss(short, rel, consistent, ctx, params)
+
+
+class TestStepArrays:
+    """The client step with its arrays allocated once gives the bits of the
+    checked calls, which allocate their own."""
+
+    BATCH = 4
+
+    @staticmethod
+    def case():
+        rng = np.random.default_rng(21)
+        params = init_params(5, 7, 4, 3, seed=21)
+        params.b2 += 0.1  # keep features off exact zero despite dead relus
+        x = rng.standard_normal((10, 5)).astype(np.float32)
+        y = np.array([1, 2, 3, 1, 2, 3, 3, 2, 3, 1])
+        # class 3 has no valid prototype, so not every class is contrasted,
+        # and class 2 has no consistent prototype
+        valid = np.array([[True, True], [True, False], [False, False]])
+        rel = RelationalSet(rng.standard_normal((3, 2, 4)) + 1.0, valid)
+        consistent = ConsistentSet(rng.standard_normal((3, 4)),
+                                   np.array([True, False, True]))
+        return params, x, y, rel, consistent
+
+    # a full batch, the short last batch and a one-row batch
+    @pytest.mark.parametrize("rows", [slice(0, 4), slice(8, 10), slice(9, 10)],
+                             ids=["full", "short", "one-row"])
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedsc"])
+    def test_the_step_with_arrays_gives_the_checked_bits(self, rows, algorithm):
+        params, x, y, rel, consistent = self.case()
+        assert not rel.valid_rows.all_contrasted
+        ctx = compute_normalizers(extract_features(params, x), rel)
+        if algorithm == "fedavg":
+            rel = consistent = ctx = None
+        width = 0 if rel is None else len(rel.valid_rows.cells)
+        arrays = StepArrays(params, x, self.BATCH, width)
+        check_loss_inputs(y, params, rel, consistent)
+
+        fb = forward_features(params, x[rows], y[rows])
+        out = total_loss(fb, rel, consistent, ctx, params)
+        grads = backward(params, fb, out.grad_z, out.grad_logits)
+        fast_fb = forward_features(params, arrays.shard[rows], y[rows], arrays=arrays)
+        fast = total_loss(fast_fb, rel, consistent, ctx, params, arrays=arrays)
+        fast_grads = backward(params, fast_fb, fast.grad_z, fast.grad_logits,
+                              arrays=arrays)
+
+        assert np.array_equal(fast_fb.z_aug, fb.z_aug)
+        TestTotalLoss.assert_same(fast, out)
+        assert np.array_equal(fast_grads.flat, grads.flat)
+        if algorithm == "fedsc":
+            assert out.rpcl > 0 and out.cpdr > 0
+            assert not np.array_equal(out.grad_z, np.zeros_like(out.grad_z))
+
+    def test_a_run_client_step_matches_its_checked_replay(self):
+        # one epoch of one batch: run_client's weights are those of the
+        # checked calls on the same shuffled rows
+        params, x, y, rel, consistent = self.case()
+        client = ClientDataset(x, y, 3, client_id=1)
+        config = FederationConfig(rounds=1, num_clients=1, local_epochs=1,
+                                  optimizer=OptimizerConfig(batch_size=16),
+                                  seed=5, hidden_dim=7, feature_dim=4)
+        update = run_client(params, client, config, 1, rel, consistent)
+        replay = params.copy()
+        rng = np.random.default_rng(np.random.SeedSequence((5, _TAG_CLIENT, 1, 1)))
+        order = rng.permutation(len(x))
+        ctx = compute_normalizers(extract_features(replay, x), rel, config.temperature)
+        fb = forward_features(replay, x[order], y[order])
+        out = total_loss(fb, rel, consistent, ctx, replay)
+        grads = backward(replay, fb, out.grad_z, out.grad_logits)
+        sgd_step(replay, grads, np.zeros(replay.flat.size), config.optimizer)
+        assert np.array_equal(update.params.flat, replay.flat)
+        assert (update.ce, update.rpcl, update.cpdr, update.total) == (
+            out.ce, out.rpcl, out.cpdr, out.total)

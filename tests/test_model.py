@@ -21,7 +21,6 @@ from fedsc.model import (
     evaluate_accuracy,
     extract_features,
     forward_features,
-    forward_logits,
     init_params,
     sgd_step,
 )
@@ -102,16 +101,17 @@ class TestForward:
         assert np.allclose(fb.z, np.maximum(pre1, 0) @ p.w2 + p.b2)
 
     def test_logits_formula(self):
+        # the folded classifier [v; c] applied to [z, 1]
         p = tiny_params()
+        p.c[:] = np.random.default_rng(1).standard_normal(p.num_classes)
         z = np.random.default_rng(0).standard_normal((4, p.feature_dim))
-        assert np.allclose(forward_logits(p, z), z @ p.v + p.c)
+        ones = np.ones((len(z), 1))
+        assert np.allclose(np.hstack([z, ones]) @ p.vc, z @ p.v + p.c)
 
     def test_dimension_errors(self):
         p = tiny_params()
         with pytest.raises(DimensionMismatchError):
             forward_features(p, np.zeros((2, p.d_in + 1)))
-        with pytest.raises(DimensionMismatchError):
-            forward_logits(p, np.zeros((2, p.feature_dim + 1)))
 
 
 class TestBackward:
@@ -307,6 +307,22 @@ class TestModelParams:
         assert np.array_equal(twin.c, params.c + 1.0)
         assert np.array_equal(params.flat, before)
 
+    @pytest.mark.parametrize("clone", [lambda p: p, ModelParams.copy, copy.deepcopy,
+                                       lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["original", "copy", "deepcopy", "pickle"])
+    def test_folded_layers_are_views_of_flat(self, clone):
+        # [w; b] of each layer; workers train on unpickled models
+        params = clone(tiny_params())
+        for folded, w, b in (("w1b1", "w1", "b1"), ("w2b2", "w2", "b2"), ("vc", "v", "c")):
+            layer, weights, bias = (getattr(params, f) for f in (folded, w, b))
+            assert np.array_equal(layer, np.vstack([weights, bias])), folded
+            assert np.shares_memory(layer, params.flat), folded
+            layer[-1] = 2.5
+            layer[0, 0] = -1.5
+            assert (bias == 2.5).all() and weights[0, 0] == -1.5, folded
+        params.flat[:] = 0.0
+        assert not params.w1b1.any() and not params.vc.any()
+
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
             ModelParams(np.zeros((3, 4)), np.zeros(5), np.zeros((4, 2)),
@@ -347,7 +363,7 @@ class TestEvaluateAccuracy:
         x = rng.standard_normal((n, params.d_in))
         y = rng.integers(1, params.num_classes + 1, size=n)
         z = forward_features(params, x).z
-        pred = np.argmax(forward_logits(params, z), axis=1) + 1
+        pred = np.argmax(z @ params.v + params.c, axis=1) + 1
         assert evaluate_accuracy(params, x, y) == np.mean(pred == y)
 
     def test_label_count_checked(self):

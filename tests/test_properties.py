@@ -212,8 +212,9 @@ def test_permuting_the_batch_permutes_grad_z(inputs, neighbors, seed, rand):
     batch = forward_features(params, x, labels)
     context = compute_normalizers(batch.z, rel)
     base = total_loss(batch, rel, con, context, params)
-    moved = total_loss(FeatureBatch(*(a[perm] for a in (batch.inputs, batch.pre1,
-                                                          batch.act1, batch.z, labels))),
+    moved = total_loss(FeatureBatch(*(a[perm] for a in (batch.inputs_aug, batch.pre1,
+                                                          batch.act1_aug, batch.z_aug,
+                                                          labels))),
                        rel, con, context, params)
     assert np.array_equal(moved.grad_z, base.grad_z[perm])
     assert np.isclose(moved.total, base.total, rtol=0, atol=1e-12)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import shutil
@@ -100,7 +99,9 @@ def summarize_end_to_end(runs: list[dict], declared: list[dict]) -> dict:
     """Per-metric medians, quartiles, pairs won, worsening and verdict, plus
     the quartiles of the per-pair change/parent ratio (``pair_ratio``, a
     reported figure that the verdict does not read): the host can drift
-    between pairs by more than the change moves within one."""
+    between pairs by more than the change moves within one.  A pair whose
+    parent reads 0 has no ratio, and ``pair_ratio`` is None (``null``) when
+    no pair has one, so the BENCH file stays strict JSON."""
     sides = _by_side(runs)
     pair_of = {side: {r["pair"]: r["result"]["metrics"] for r in sides[side]}
                for side in sides}
@@ -115,7 +116,8 @@ def summarize_end_to_end(runs: list[dict], declared: list[dict]) -> dict:
         for i in pairs:
             p, c = pair_of["parent"][i][name], pair_of["change"][i][name]
             wins += (c < p) if lower else (c > p)
-            ratios.append(c / p if p else math.inf)
+            if p:
+                ratios.append(c / p)
         gap = change["median"] - parent["median"]
         out[name] = {
             "parent": parent, "change": change, "change_wins": wins,
