@@ -44,14 +44,6 @@ class DegenerateVectorError(FedscError, ValueError):
     code = "degenerate-vector"
 
 
-class NoPositivePrototypeError(FedscError, ValueError):
-    code = "no-positive-prototype"
-
-
-class NoNegativePrototypeError(FedscError, ValueError):
-    code = "no-negative-prototype"
-
-
 class LabelOutOfRangeError(FedscError, ValueError):
     code = "label-out-of-range"
 

@@ -12,12 +12,7 @@ convergence bounds in ``fedsc.theory`` assume, and the pull fades as a
 feature reaches its prototype.  Averaging over the d coordinates keeps the
 term on the scale of CE and RPCL at any feature width.
 
-The per-sample CE and RPCL functions are the readable reference;
-``total_loss`` runs a vectorized batch path that the tests pin against
-them.  The batch RPCL folds ``1 / (u tau)`` into the prototypes, so its
-scores and gradient may differ from the reference in the last bits.
-
-The batch path spends one numpy call wherever it can, because at training
+``total_loss`` spends one numpy call wherever it can, because at training
 shapes a call costs more than its arithmetic.  The logits are
 ``[z, 1] @ [v; c]``, one product with the classifier's folded bias (see
 ``fedsc.model``).  RPCL forms its coefficients as
@@ -51,14 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegeneratePrototypeError,
     DegenerateVectorError,
     DimensionMismatchError,
     EmptyDatasetError,
     InvalidArgumentError,
     LabelOutOfRangeError,
-    NoNegativePrototypeError,
-    NoPositivePrototypeError,
 )
 from .model import FeatureBatch, ModelParams, StepArrays
 from .prototypes import ConsistentSet, RelationalSet, ValidRows
@@ -181,110 +173,6 @@ def compute_normalizers(
     return context
 
 
-def _check_prototype_shapes(
-    num_classes: int,
-    d: int,
-    relational: RelationalSet | None,
-    consistent: ConsistentSet | None,
-    context: SimilarityContext | None,
-) -> None:
-    """The prototype sets cover ``num_classes`` classes of width ``d``, and
-    the normalizers cover the relational set's (class, client) grid."""
-    if relational is not None:
-        c, k, width = relational.r.shape
-        if (c, width) != (num_classes, d):
-            raise DimensionMismatchError(
-                f"relational prototypes {relational.r.shape} do not match "
-                f"{num_classes} classes of dim {d}"
-            )
-        if context is not None and context.u.shape != (c, k):
-            raise DimensionMismatchError(
-                f"normalizers {context.u.shape} do not match relational "
-                f"prototypes {(c, k)}"
-            )
-    if consistent is not None and consistent.o.shape != (num_classes, d):
-        raise DimensionMismatchError(
-            f"consistent prototypes {consistent.o.shape} do not match "
-            f"{num_classes} classes of dim {d}"
-        )
-
-
-def _check_label(label: int, num_classes: int) -> int:
-    if not 1 <= label <= num_classes:
-        raise LabelOutOfRangeError(f"label {label} outside 1..{num_classes}")
-    return label - 1
-
-
-def rpcl_loss_and_grad(
-    z: np.ndarray,
-    label: int,
-    relational: RelationalSet,
-    context: SimilarityContext,
-) -> tuple[float, np.ndarray]:
-    """Contrastive loss of one sample against the relational prototypes.
-
-    Positives are the valid prototypes of the sample's class, negatives every
-    other class's valid prototype.  Returns the loss and its gradient in z,
-    holding prototypes and normalizers fixed.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionMismatchError(f"features {z.shape} are not one (d,) vector")
-    num_classes, num_clients, _ = relational.r.shape
-    _check_prototype_shapes(num_classes, len(z), relational, None, context)
-    j = _check_label(label, num_classes)
-    zn = np.linalg.norm(z)
-    if zn < _EPS:
-        raise DegenerateVectorError("zero-norm feature vector")
-
-    scores, grads, positive = [], [], []
-    for q in range(num_classes):
-        for k in range(num_clients):
-            if not (relational.valid[q, k] and context.valid[q, k]):
-                continue
-            r = relational.r[q, k]
-            rn = np.linalg.norm(r)
-            if rn < _EPS:
-                raise DegeneratePrototypeError("zero-norm relational prototype")
-            u = context.u[q, k]
-            if u <= 0:
-                raise InvalidArgumentError("normalizer u must be > 0")
-            cos = float(z @ r / (zn * rn))
-            scores.append(cos / u)
-            grads.append((r / rn - cos * z / zn) / (zn * u))
-            positive.append(q == j)
-
-    positive = np.array(positive, dtype=bool)
-    if not positive.any():
-        raise NoPositivePrototypeError(f"no relational prototype for class {label}")
-    if positive.all():
-        raise NoNegativePrototypeError(f"no negative prototype against class {label}")
-
-    s = np.array(scores) / context.tau
-    shift = s.max()
-    w = np.exp(s - shift)
-    s_all = w.sum()
-    s_pos = w[positive].sum()
-    loss = float(np.log(s_all) - np.log(s_pos))
-    coef = (w / s_all - positive * (w / s_pos)) / context.tau
-    grad = np.zeros_like(z)
-    for c, g in zip(coef, grads):
-        grad += c * g
-    return loss, grad
-
-
-def ce_loss_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy of one sample; gradient is softmax - onehot."""
-    logits = np.asarray(logits, dtype=np.float64)
-    j = _check_label(label, logits.shape[0])
-    shifted = logits - logits.max()
-    lse = float(np.log(np.exp(shifted).sum()))
-    probs = np.exp(shifted - lse)
-    grad = probs.copy()
-    grad[j] -= 1.0
-    return lse - float(shifted[j]), grad
-
-
 def _rpcl_batch(
     z: np.ndarray, idx: np.ndarray, rows: ValidRows, r_scaled: np.ndarray,
     grad: np.ndarray, s: np.ndarray, w: np.ndarray, c: np.ndarray,
@@ -362,13 +250,32 @@ def check_loss_inputs(
     context: SimilarityContext | None = None,
 ) -> None:
     """What :func:`total_loss` checks at every call without step arrays,
-    which a caller that passes them checks once: the labels lie in
-    1..num_classes, and the prototypes and normalizers fit ``params``."""
-    num_classes = params.num_classes
+    which a caller that passes them checks once: there is at least one
+    label, the labels lie in 1..num_classes, the prototype sets cover that
+    many classes of the feature width, and the normalizers cover the
+    relational set's (class, client) grid."""
+    num_classes, d = params.num_classes, params.feature_dim
+    if labels.size == 0:
+        raise EmptyDatasetError("need at least one labelled row")
     if labels.min() < 1 or labels.max() > num_classes:
         raise LabelOutOfRangeError(f"labels outside 1..{num_classes}")
-    _check_prototype_shapes(num_classes, params.feature_dim, relational,
-                            consistent, context)
+    if relational is not None:
+        c, k, width = relational.r.shape
+        if (c, width) != (num_classes, d):
+            raise DimensionMismatchError(
+                f"relational prototypes {relational.r.shape} do not match "
+                f"{num_classes} classes of dim {d}"
+            )
+        if context is not None and context.u.shape != (c, k):
+            raise DimensionMismatchError(
+                f"normalizers {context.u.shape} do not match relational "
+                f"prototypes {(c, k)}"
+            )
+    if consistent is not None and consistent.o.shape != (num_classes, d):
+        raise DimensionMismatchError(
+            f"consistent prototypes {consistent.o.shape} do not match "
+            f"{num_classes} classes of dim {d}"
+        )
 
 
 def total_loss(

@@ -248,8 +248,10 @@ def forward_features(
 ) -> FeatureBatch:
     """Run the extractor; caches activations for backward.
 
-    With ``arrays``, ``inputs`` are rows of ``arrays.shard``, ones column
-    included, nothing is checked, and the batch lives in ``arrays``.
+    Without ``arrays`` a fractional label raises ``InvalidArgumentError``
+    naming its row.  With ``arrays``, ``inputs`` are rows of
+    ``arrays.shard``, ones column included, nothing is checked, and the batch
+    lives in ``arrays``.
     """
     if arrays is None:
         x = _checked_inputs(params, inputs)
@@ -259,7 +261,16 @@ def forward_features(
         pre1 = np.empty((n, params.hidden))
         act_aug = _ones_after(n, params.hidden)
         z_aug = _ones_after(n, params.feature_dim)
-        y = None if labels is None else np.asarray(labels, dtype=np.int64)
+        y = None
+        if labels is not None:
+            y = np.asarray(labels)
+            if y.dtype.kind == "f":
+                # the int64 cast would truncate 1.5 to 1; NaN is unequal to itself
+                rows = np.flatnonzero(y != np.trunc(y))
+                if len(rows):
+                    raise InvalidArgumentError(
+                        f"row {rows[0]} has label {y[rows[0]]} that is not an integer")
+            y = y.astype(np.int64, copy=False)
     else:
         x_aug, y = inputs, labels
         n = len(x_aug)

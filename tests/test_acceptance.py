@@ -21,12 +21,7 @@ import pytest
 from conftest import acceptance_lines
 from fedsc.cli import main as cli_main
 from fedsc.federation import rounds_to_accuracy
-from fedsc.losses import (
-    SimilarityContext,
-    ce_loss_and_grad,
-    rpcl_loss_and_grad,
-    total_loss,
-)
+from fedsc.losses import SimilarityContext, total_loss
 from fedsc.model import backward, forward_features, init_params
 from fedsc.prototypes import (
     ConsistentSet,
@@ -49,6 +44,7 @@ from h2h_protocol import (
     run_name,
     weights_line,
 )
+from reference_losses import one_row_batch
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "v", "c")
 PROTOCOL_SEEDS = (1, 2, 3)
@@ -326,15 +322,20 @@ def test_criterion_6_closed_form_spot_values():
         np.full((classes, clients), 1.3), np.ones((classes, clients), bool),
         tau=0.07,
     )
-    loss, grad = rpcl_loss_and_grad(rng.normal(size=feat), 2, relational,
-                                    context)
-    checks.append(("contrastive loss at equal similarities", loss,
+    # both loss checks run the training path, total_loss, on one row
+    params = init_params(1, 1, feat, classes)
+    out = total_loss(one_row_batch(params, rng.normal(size=feat), 2), relational,
+                     None, context, params)
+    checks.append(("contrastive loss at equal similarities", out.rpcl,
                    math.log(classes)))
     checks.append(("contrastive gradient at equal similarities",
-                   float(np.abs(grad).max()), 0.0))
+                   float(np.abs(out.grad_z).max()), 0.0))
 
-    ce, _ = ce_loss_and_grad(np.zeros(7), 3)
-    checks.append(("cross-entropy at uniform logits", ce, math.log(7.0)))
+    params = init_params(1, 1, feat, 7)
+    params.vc[:] = 0.0  # every logit is 0 whatever the features
+    out = total_loss(one_row_batch(params, rng.normal(size=feat), 3), None, None,
+                     None, params)
+    checks.append(("cross-entropy at uniform logits", out.ce, math.log(7.0)))
 
     worst = max(abs(value - want) for _, value, want in checks)
     for name, value, want in checks:

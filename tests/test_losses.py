@@ -1,4 +1,5 @@
-"""Composite loss terms: closed forms, finite differences, batch vs per-sample."""
+"""Composite loss terms: closed forms, finite differences, batch vs the
+per-sample references in ``reference_losses``."""
 
 import dataclasses
 import math
@@ -14,18 +15,14 @@ from fedsc.errors import (
     EmptyDatasetError,
     InvalidArgumentError,
     LabelOutOfRangeError,
-    NoNegativePrototypeError,
-    NoPositivePrototypeError,
 )
 from fedsc.data import ClientDataset
 from fedsc.federation import _TAG_CLIENT, FederationConfig, run_client
 from fedsc.losses import (
     SimilarityContext,
     _rpcl_batch,
-    ce_loss_and_grad,
     check_loss_inputs,
     compute_normalizers,
-    rpcl_loss_and_grad,
     total_loss,
 )
 from fedsc.model import (
@@ -38,6 +35,12 @@ from fedsc.model import (
     sgd_step,
 )
 from fedsc.prototypes import ConsistentSet, RelationalSet
+from reference_losses import (
+    ce_loss_and_grad,
+    cpdr_loss_and_grad,
+    one_row_batch,
+    rpcl_loss_and_grad,
+)
 
 
 def random_relational(rng, num_classes, num_clients, d, all_valid=True):
@@ -50,13 +53,6 @@ def random_relational(rng, num_classes, num_clients, d, all_valid=True):
         valid[0, 0] = True
         valid[-1, -1] = True
     return RelationalSet(r, valid)
-
-
-def cpdr_loss_and_grad(z, label, consistent):
-    """Per-sample CPDR reference: the mean squared distance from one (d,)
-    feature vector to its class's consistent prototype, and its gradient in z."""
-    diff = z - consistent.o[label - 1]
-    return float((diff**2).mean()), 2.0 * diff / diff.shape[0]
 
 
 class TestComputeNormalizers:
@@ -211,12 +207,6 @@ class TestCrossEntropy:
         b, _ = ce_loss_and_grad(logits + 1000.0, 2)
         assert a == pytest.approx(b, abs=1e-9)
 
-    def test_label_range(self):
-        with pytest.raises(LabelOutOfRangeError):
-            ce_loss_and_grad(np.zeros(3), 0)
-        with pytest.raises(LabelOutOfRangeError):
-            ce_loss_and_grad(np.zeros(3), 4)
-
 
 class TestCpdr:
     def test_default_is_mean_squared_distance(self):
@@ -236,16 +226,13 @@ class TestCpdr:
 
 
 class TestRpcl:
-    def test_shapes_checked(self):
-        rel = RelationalSet(np.ones((3, 2, 4)), np.ones((3, 2), dtype=bool))
-        narrow = SimilarityContext(np.ones((3, 1)), np.ones((3, 1), dtype=bool))
-        with pytest.raises(DimensionMismatchError, match="normalizers"):
-            rpcl_loss_and_grad(np.ones(4), 1, rel, narrow)
-        ctx = SimilarityContext(np.ones((3, 2)), np.ones((3, 2), dtype=bool))
-        with pytest.raises(DimensionMismatchError, match="relational"):
-            rpcl_loss_and_grad(np.ones(5), 1, rel, ctx)
-        with pytest.raises(DimensionMismatchError, match=r"not one \(d,\) vector"):
-            rpcl_loss_and_grad(np.ones((2, 4)), 1, rel, ctx)
+    @staticmethod
+    def both_paths(z, label, rel, ctx):
+        """The loss and gradient of one sample from the reference and from
+        ``total_loss`` on a one-row batch."""
+        params = init_params(1, 1, rel.r.shape[2], rel.r.shape[0])
+        out = total_loss(one_row_batch(params, z, label), rel, None, ctx, params)
+        return rpcl_loss_and_grad(z, label, rel, ctx), (out.rpcl, out.grad_z[0])
 
     def test_symmetric_prototypes_give_log_c(self):
         # every class holds the same prototype, so all similarities tie and
@@ -254,9 +241,9 @@ class TestRpcl:
             r = np.tile(np.array([1.0, 2.0, -1.0]), (c, 1, 1))
             rel = RelationalSet(r, np.ones((c, 1), dtype=bool))
             ctx = SimilarityContext(np.full((c, 1), 1.3), rel.valid, tau=0.05)
-            loss, grad = rpcl_loss_and_grad(np.array([0.5, 1.0, 0.0]), 1, rel, ctx)
-            assert loss == pytest.approx(math.log(c), abs=1e-12)
-            assert np.allclose(grad, 0.0, atol=1e-12)
+            for loss, grad in self.both_paths(np.array([0.5, 1.0, 0.0]), 1, rel, ctx):
+                assert loss == pytest.approx(math.log(c), abs=1e-12)
+                assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -280,19 +267,19 @@ class TestRpcl:
         rel = random_relational(rng, 3, 1, 4)
         ctx = SimilarityContext(np.ones((3, 1)), rel.valid, tau=0.05)
         target = rel.r[0, 0]
-        near, _ = rpcl_loss_and_grad(target, 1, rel, ctx)
-        far, _ = rpcl_loss_and_grad(-target, 1, rel, ctx)
-        assert near < far
+        for (near, _), (far, _) in zip(self.both_paths(target, 1, rel, ctx),
+                                       self.both_paths(-target, 1, rel, ctx)):
+            assert near < far
 
-    def test_no_positive_or_negative_raises(self):
+    def test_no_positive_or_negative_contributes_zero(self):
+        # class 1 has no valid prototype, and class 2 holds every one
         r = np.ones((2, 1, 3))
-        ctx_valid = np.ones((2, 1), dtype=bool)
         rel = RelationalSet(r, np.array([[False], [True]]))
-        ctx = SimilarityContext(np.ones((2, 1)), ctx_valid, tau=0.05)
-        with pytest.raises(NoPositivePrototypeError):
-            rpcl_loss_and_grad(np.ones(3), 1, rel, ctx)
-        with pytest.raises(NoNegativePrototypeError):
-            rpcl_loss_and_grad(np.ones(3), 2, rel, ctx)
+        ctx = SimilarityContext(np.ones((2, 1)), np.ones((2, 1), dtype=bool), tau=0.05)
+        for label in (1, 2):
+            for loss, grad in self.both_paths(np.ones(3), label, rel, ctx):
+                assert loss == 0.0
+                assert np.array_equal(grad, np.zeros(3))
 
     def test_degenerate_feature_raises(self):
         rng = np.random.default_rng(5)
@@ -300,6 +287,9 @@ class TestRpcl:
         ctx = SimilarityContext(np.ones((2, 1)), rel.valid, tau=0.05)
         with pytest.raises(DegenerateVectorError):
             rpcl_loss_and_grad(np.zeros(3), 1, rel, ctx)
+        params = init_params(1, 1, 3, 2)
+        with pytest.raises(DegenerateVectorError):
+            total_loss(one_row_batch(params, np.zeros(3), 1), rel, None, ctx, params)
 
     def test_zero_norm_prototype_raises(self):
         r = np.ones((2, 1, 3))
@@ -308,6 +298,9 @@ class TestRpcl:
         ctx = SimilarityContext(np.ones((2, 1)), rel.valid, tau=0.05)
         with pytest.raises(DegeneratePrototypeError, match="^zero-norm relational prototype$"):
             rpcl_loss_and_grad(np.ones(3), 1, rel, ctx)
+        params = init_params(1, 1, 3, 2)
+        with pytest.raises(DegeneratePrototypeError, match="^zero-norm relational prototype$"):
+            total_loss(one_row_batch(params, np.ones(3), 1), rel, None, ctx, params)
 
 
 class TestTotalLoss:
@@ -330,24 +323,28 @@ class TestTotalLoss:
         assert out.total == pytest.approx(out.ce + out.rpcl + out.cpdr, abs=1e-12)
 
     def test_matches_per_sample_reference(self):
+        # seeds 1 and 2 leave some samples without a positive, a negative or
+        # a consistent prototype, where both paths contribute zero
         for seed, partial in ((0, False), (1, True), (2, True)):
             params, batch, rel, consistent, ctx = self.setup_case(seed, partial=partial)
             out = total_loss(batch, rel, consistent, ctx, params)
             logits = batch.z @ params.v + params.c
             n = batch.z.shape[0]
             ce_sum = rpcl_sum = cpdr_sum = 0.0
+            grad_z, grad_logits = np.zeros_like(batch.z), np.zeros_like(logits)
             for i in range(n):
                 label = int(batch.labels[i])
-                ce_sum += ce_loss_and_grad(logits[i], label)[0]
-                try:
-                    rpcl_sum += rpcl_loss_and_grad(batch.z[i], label, rel, ctx)[0]
-                except (NoPositivePrototypeError, NoNegativePrototypeError):
-                    pass  # batch path gates these samples to zero
-                if consistent.present[label - 1]:
-                    cpdr_sum += cpdr_loss_and_grad(batch.z[i], label, consistent)[0]
+                ce, grad_logits[i] = ce_loss_and_grad(logits[i], label)
+                rpcl, rpcl_grad = rpcl_loss_and_grad(batch.z[i], label, rel, ctx)
+                cpdr, cpdr_grad = cpdr_loss_and_grad(batch.z[i], label, consistent)
+                ce_sum, rpcl_sum, cpdr_sum = ce_sum + ce, rpcl_sum + rpcl, cpdr_sum + cpdr
+                grad_z[i] = rpcl_grad + cpdr_grad
             assert out.ce == pytest.approx(ce_sum / n, rel=1e-10)
             assert out.rpcl == pytest.approx(rpcl_sum / n, rel=1e-10)
             assert out.cpdr == pytest.approx(cpdr_sum / n, rel=1e-10)
+            np.testing.assert_allclose(out.grad_z, grad_z / n, rtol=1e-10, atol=1e-13)
+            np.testing.assert_allclose(out.grad_logits, grad_logits / n,
+                                       rtol=1e-10, atol=1e-13)
 
     def test_grad_z_matches_finite_differences(self):
         params, batch, rel, consistent, ctx = self.setup_case(seed=3)
@@ -572,6 +569,14 @@ class TestTotalLoss:
                                np.full(batch.z.shape[0], 9))
         with pytest.raises(LabelOutOfRangeError):
             total_loss(bad, rel, consistent, ctx, params)
+
+    def test_empty_batch_rejected(self):
+        # labels.min() would raise numpy's bare ValueError on zero rows
+        params, batch, rel, consistent, ctx = self.setup_case(seed=7)
+        empty = forward_features(params, batch.inputs[:0], batch.labels[:0])
+        for args in ((rel, consistent, ctx), (None, None, None)):
+            with pytest.raises(EmptyDatasetError, match="at least one labelled row"):
+                total_loss(empty, *args, params)
 
     def test_labels_must_be_one_per_row(self):
         # must not reach numpy's broadcasting in the CE gather

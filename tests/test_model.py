@@ -108,6 +108,17 @@ class TestForward:
         ones = np.ones((len(z), 1))
         assert np.allclose(np.hstack([z, ones]) @ p.vc, z @ p.v + p.c)
 
+    def test_fractional_labels_rejected(self):
+        # the int64 cast would train 1.5 as class 1; whole floats are labels
+        p = tiny_params()
+        x = np.zeros((3, p.d_in))
+        for labels, row in (([1.5, 2, 1], 0), ([1, 2, np.nan], 2)):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"^row {row} has label .* not an integer$"):
+                forward_features(p, x, labels)
+        fb = forward_features(p, x, [1.0, 2.0, 1.0])
+        assert fb.labels.dtype == np.int64 and fb.labels.tolist() == [1, 2, 1]
+
     def test_dimension_errors(self):
         p = tiny_params()
         with pytest.raises(DimensionMismatchError):
