@@ -241,7 +241,7 @@ _CONSTANT_KEYS = {f.name: _PARSERS.get(f.type, float)
 
 
 def _load_constants(path: str) -> dict:
-    values = {}
+    values, line_of = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -257,6 +257,9 @@ def _load_constants(path: str) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in _CONSTANT_KEYS:
             raise InvalidConstantsError(f"line {lineno}: unknown constant '{key}'")
+        if line_of.setdefault(key, lineno) != lineno:
+            raise InvalidConstantsError(
+                f"line {lineno}: constant '{key}' already set on line {line_of[key]}")
         try:
             values[key] = _CONSTANT_KEYS[key](raw)
         except ValueError as exc:

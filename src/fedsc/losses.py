@@ -31,17 +31,16 @@ positive table and a per-class flag for "has a positive and a negative") is
 ``RelationalSet.valid_rows``, built at the first read of each set object, which
 also rejects a zero-norm prototype: once per round in a serial run, and once
 per client in a worker, which receives each client's set as its own pickled
-copy.  What depends on the normalizers too is
-built once per epoch: ``compute_normalizers`` computes ``u`` and the valid
-prototypes scaled by ``1 / (|r| u tau)``, and checks ``u > 0``.  A context
-built by hand gets its scaled prototypes from the same method at the first
-``total_loss`` call, and so does a computed context passed with a
-relational set other than the one it was computed from.
+copy.  A ``SimilarityContext`` belongs to one set: it is made from the set,
+its normalizers ``u`` and ``tau``, and checks them once, when it is made,
+keeping the set's valid rows and those rows scaled by ``1 / (|r| u tau)``.
+``compute_normalizers`` makes one per epoch, so each epoch computes only
+``u`` and the scaled rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,52 +61,44 @@ CPDR_NORM = "sq"
 
 @dataclass(frozen=True)
 class SimilarityContext:
-    """Per-prototype distance normalizers U[j, k] plus the temperature.
+    """Distance normalizers U[j, k] and the temperature of one relational set.
 
-    A context is a value: it holds read-only copies of ``u`` and ``valid``,
-    so the scaled prototypes kept with it cannot go stale.
+    Made once, it checks what RPCL reads (``u`` covers the set's (C, K) grid,
+    no valid prototype has zero norm, every valid ``u`` is > 0) and keeps
+    the set's ``rows`` and those rows scaled by ``1 / (|r| u tau)``.
     """
 
+    relational: RelationalSet
     u: np.ndarray      # (num_classes, num_clients)
-    valid: np.ndarray  # (num_classes, num_clients) bool
     tau: float = 0.05
+    rows: ValidRows = field(init=False, repr=False, compare=False)
+    scaled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if np.ndim(self.u) != 2 or np.shape(self.valid) != np.shape(self.u):
+        grid = self.relational.valid.shape
+        if np.shape(self.u) != grid:
             raise DimensionMismatchError(
-                f"normalizers u {np.shape(self.u)} and valid "
-                f"{np.shape(self.valid)} are not both (C, K)"
+                f"normalizers {np.shape(self.u)} do not match relational "
+                f"prototypes {grid}"
             )
         if not 0 < self.tau < np.inf:
             raise InvalidArgumentError("tau must be finite and > 0")
         u = np.array(self.u, dtype=np.float64)
-        valid = np.array(self.valid, dtype=bool)
-        u.flags.writeable = valid.flags.writeable = False
+        u.flags.writeable = False
+        rows = self.relational.valid_rows
+        u_valid = u.take(rows.cells)
+        if (u_valid <= 0).any():
+            raise InvalidArgumentError("normalizer u must be > 0")
+        scaled = rows.rows / (rows.norms * u_valid * self.tau)[:, None]
+        scaled.flags.writeable = False
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scaled", scaled)
 
-    def _scaled(self, relational: RelationalSet) -> tuple[ValidRows, np.ndarray]:
-        """The set's valid rows over the cells valid in both, and those rows
-        scaled by ``1 / (|r| u tau)``; kept for the last set passed.
-
-        Raises ``DegeneratePrototypeError`` for a zero-norm prototype and
-        ``InvalidArgumentError`` for ``u <= 0`` on those cells.
-        """
-        kept = self.__dict__.get("_kept")
-        if kept is None or kept[0] is not relational:
-            source = relational
-            if not (relational.valid <= self.valid).all():
-                # a context built by hand may leave out cells the set holds
-                source = RelationalSet(relational.r, relational.valid & self.valid)
-            rows = source.valid_rows
-            u = self.u.take(rows.cells)
-            if (u <= 0).any():
-                raise InvalidArgumentError("normalizer u must be > 0")
-            r_scaled = rows.rows / (rows.norms * u * self.tau)[:, None]
-            r_scaled.flags.writeable = False
-            kept = (relational, rows, r_scaled)
-            object.__setattr__(self, "_kept", kept)
-        return kept[1], kept[2]
+    @property
+    def valid(self) -> np.ndarray:
+        """The set's (C, K) mask of valid cells."""
+        return self.relational.valid
 
 
 @dataclass
@@ -136,10 +127,8 @@ def compute_normalizers(
     snapshot at every epoch start.  Only the valid (class, client) cells are
     computed; RPCL never reads the others, and they hold 0.
 
-    The returned context is the epoch's snapshot, with its scaled RPCL
-    prototypes built from ``relational``: a zero-norm valid prototype raises
-    ``DegeneratePrototypeError`` and a valid cell with ``u <= 0`` raises
-    ``InvalidArgumentError`` here, and its ``u`` and ``valid`` are read-only.
+    The returned context is the epoch's snapshot for ``relational``, so its
+    checks (a zero-norm prototype, ``u <= 0`` on a valid cell) raise here.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -168,27 +157,25 @@ def compute_normalizers(
     np.sqrt(sq, out=sq)
     u = np.zeros(relational.valid.size)
     u[rows.cells] = sq.sum(axis=0) / n
-    context = SimilarityContext(u.reshape(relational.valid.shape), relational.valid, tau)
-    context._scaled(relational)  # once per epoch, and its errors belong to this call
-    return context
+    return SimilarityContext(relational, u.reshape(relational.valid.shape), tau)
 
 
 def _rpcl_batch(
-    z: np.ndarray, idx: np.ndarray, rows: ValidRows, r_scaled: np.ndarray,
+    z: np.ndarray, idx: np.ndarray, rows: ValidRows, scaled: np.ndarray,
     grad: np.ndarray, s: np.ndarray, w: np.ndarray, c: np.ndarray,
 ) -> np.ndarray:
     """Vectorized RPCL over a batch with 0-based class indices ``idx``;
     samples without a valid positive or negative contribute zero.  Returns
     the per-sample losses and writes their gradients into ``grad``; ``s``,
     ``w`` and ``c`` are (n, P) arrays it overwrites."""
-    if r_scaled.shape[0] == 0:
+    if scaled.shape[0] == 0:
         grad.fill(0.0)
         return np.zeros(len(z))
     zn = np.sqrt(np.einsum("ij,ij->i", z, z))
     if (zn < _EPS).any():
         raise DegenerateVectorError("zero-norm feature vector in batch")
     z_hat = z / zn[:, None]
-    np.matmul(z_hat, r_scaled.T, out=s)         # cos / (u tau)
+    np.matmul(z_hat, scaled.T, out=s)           # cos / (u tau)
 
     np.subtract(s, s.max(axis=1, keepdims=True), out=w)
     np.exp(w, out=w)
@@ -207,7 +194,7 @@ def _rpcl_batch(
         losses = np.where(active, losses, 0.0)
         c *= active[:, None]
     z_hat *= np.einsum("ij,ij->i", s, c)[:, None]
-    np.matmul(c, r_scaled, out=grad)
+    np.matmul(c, scaled, out=grad)
     grad -= z_hat
     grad /= zn[:, None]
     return losses
@@ -247,30 +234,22 @@ def check_loss_inputs(
     params: ModelParams,
     relational: RelationalSet | None,
     consistent: ConsistentSet | None,
-    context: SimilarityContext | None = None,
 ) -> None:
     """What :func:`total_loss` checks at every call without step arrays,
     which a caller that passes them checks once: there is at least one
-    label, the labels lie in 1..num_classes, the prototype sets cover that
-    many classes of the feature width, and the normalizers cover the
-    relational set's (class, client) grid."""
+    label, the labels lie in 1..num_classes, and the prototype sets cover
+    that many classes of the feature width."""
     num_classes, d = params.num_classes, params.feature_dim
     if labels.size == 0:
         raise EmptyDatasetError("need at least one labelled row")
     if labels.min() < 1 or labels.max() > num_classes:
         raise LabelOutOfRangeError(f"labels outside 1..{num_classes}")
-    if relational is not None:
-        c, k, width = relational.r.shape
-        if (c, width) != (num_classes, d):
-            raise DimensionMismatchError(
-                f"relational prototypes {relational.r.shape} do not match "
-                f"{num_classes} classes of dim {d}"
-            )
-        if context is not None and context.u.shape != (c, k):
-            raise DimensionMismatchError(
-                f"normalizers {context.u.shape} do not match relational "
-                f"prototypes {(c, k)}"
-            )
+    if relational is not None and (
+            relational.r.shape[0], relational.r.shape[2]) != (num_classes, d):
+        raise DimensionMismatchError(
+            f"relational prototypes {relational.r.shape} do not match "
+            f"{num_classes} classes of dim {d}"
+        )
     if consistent is not None and consistent.o.shape != (num_classes, d):
         raise DimensionMismatchError(
             f"consistent prototypes {consistent.o.shape} do not match "
@@ -313,7 +292,7 @@ def total_loss(
         if labels.shape != (n,):
             raise DimensionMismatchError(
                 f"labels shape {labels.shape} does not match {n} feature rows")
-        check_loss_inputs(labels, params, relational, consistent, context)
+        check_loss_inputs(labels, params, relational, consistent)
         logits, grad_logits = np.empty((2, n, params.num_classes))
         grad_z = np.empty((n, d))
     else:
@@ -327,14 +306,16 @@ def total_loss(
     rpcl = cpdr = 0.0
     rpcl_on = relational is not None and context is not None
     if rpcl_on:
-        valid_rows, r_scaled = context._scaled(relational)
-        width = len(r_scaled)
+        if context.relational is not relational:
+            raise InvalidArgumentError("context was made for another relational set")
+        width = len(context.scaled)
         if arrays is None:
             s, w, c = np.empty((3, n, width))
         else:
             s, w, c = (a[:n, :width] for a in (arrays.scores, arrays.weights,
                                                arrays.coef))
-        rpcl_losses = _rpcl_batch(z, idx, valid_rows, r_scaled, grad_z, s, w, c)
+        rpcl_losses = _rpcl_batch(z, idx, context.rows, context.scaled, grad_z,
+                                  s, w, c)
         rpcl = float(rpcl_losses.sum() / n)
     if consistent is not None:
         cpdr_losses, cpdr_grad = _cpdr_batch(z, idx, consistent)

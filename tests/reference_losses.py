@@ -44,7 +44,7 @@ def rpcl_loss_and_grad(z, label, relational, context):
     whenever any prototype is valid.
     """
     z = np.asarray(z, dtype=np.float64)
-    cells = relational.valid & context.valid
+    cells = relational.valid
     if not cells.any():
         return 0.0, np.zeros_like(z)
     zn = np.linalg.norm(z)

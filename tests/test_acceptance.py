@@ -162,9 +162,7 @@ def random_composite_instance(rng):
         r = rng.normal(size=(classes, proto_clients, feat))
         relational = RelationalSet(r, np.ones((classes, proto_clients), bool))
         context = SimilarityContext(
-            rng.uniform(0.6, 1.8, size=(classes, proto_clients)),
-            np.ones((classes, proto_clients), bool),
-            tau=0.5,
+            relational, rng.uniform(0.6, 1.8, size=(classes, proto_clients)), tau=0.5
         )
         # CPDR is smooth, so the consistency targets need no clearance: each
         # is drawn among the features, inside their coordinate range
@@ -264,6 +262,7 @@ def reference_pipeline(vectors, counts, neighbors):
 def test_criterion_5_pipeline_matches_straight_line_reference():
     rng = np.random.default_rng(505)
     worst = 0.0
+    adjacency_off = 0
     for _ in range(100):
         num_clients = int(rng.integers(2, 7))
         num_classes = int(rng.integers(2, 6))
@@ -284,7 +283,7 @@ def test_criterion_5_pipeline_matches_straight_line_reference():
             vectors, counts, neighbors
         )
 
-        assert np.array_equal(collab.adjacency, adjacency)
+        adjacency_off += not np.array_equal(collab.adjacency, adjacency)
         worst = max(
             worst,
             np.abs(collab.global_prototypes - g).max(),
@@ -294,9 +293,11 @@ def test_criterion_5_pipeline_matches_straight_line_reference():
             np.abs(collab.weights - e).max(),
             np.abs(collab.consistent.o - o).max(),
         )
-    report(5, worst <= 1e-6,
-           f"max abs deviation {worst:.3e} from the scalar-loop reference "
-           f"over 100 random instances (tolerance 1e-6)")
+    detail = (f"max abs deviation {worst:.3e} from the scalar-loop reference "
+              f"over 100 random instances (tolerance 1e-6)")
+    if adjacency_off:
+        detail += f"; adjacency differs on {adjacency_off} instances"
+    report(5, worst <= 1e-6 and not adjacency_off, detail)
 
 
 def test_criterion_6_closed_form_spot_values():
@@ -318,10 +319,7 @@ def test_criterion_6_closed_form_spot_values():
         np.tile(shared, (classes, clients, 1)),
         np.ones((classes, clients), bool),
     )
-    context = SimilarityContext(
-        np.full((classes, clients), 1.3), np.ones((classes, clients), bool),
-        tau=0.07,
-    )
+    context = SimilarityContext(relational, np.full((classes, clients), 1.3), tau=0.07)
     # both loss checks run the training path, total_loss, on one row
     params = init_params(1, 1, feat, classes)
     out = total_loss(one_row_batch(params, rng.normal(size=feat), 2), relational,
@@ -338,11 +336,13 @@ def test_criterion_6_closed_form_spot_values():
     checks.append(("cross-entropy at uniform logits", out.ce, math.log(7.0)))
 
     worst = max(abs(value - want) for _, value, want in checks)
-    for name, value, want in checks:
-        assert abs(value - want) <= 1e-9, f"{name}: {value} != {want}"
-    report(6, worst <= 1e-9,
-           f"six closed-form values reproduced, worst abs error {worst:.2e} "
-           f"(tolerance 1e-9)")
+    off = [f"{name}: {value} != {want}" for name, value, want in checks
+           if not abs(value - want) <= 1e-9]
+    detail = (f"six closed-form values reproduced, worst abs error {worst:.2e} "
+              f"(tolerance 1e-9)")
+    if off:
+        detail += "; " + "; ".join(off)
+    report(6, not off, detail)
 
 
 # criterion 7 helpers ------------------------------------------------------
@@ -365,20 +365,23 @@ def test_criterion_7_theorem_calculators():
     c1 = TheoryConstants(l1=1.0, l2=0.0, b=1.0, sigma_sq=0.0, num_classes=5,
                          m=1, local_epochs=1, eta=0.1)
     v1 = theorem1_bound(1.0, c1)
-    assert abs(v1 - 0.905) <= 1e-15, v1
 
     c2 = TheoryConstants(l1=1.0, l2=0.0, b=1.0, sigma_sq=1.0, num_classes=10,
                          m=1, local_epochs=1, eta=0.1)
     v2 = theorem2_eta_threshold(c2)
-    assert v2 == 1.0, v2
 
     c3 = TheoryConstants(l1=1.0, l2=0.0, b=1.0, sigma_sq=0.0, num_classes=4,
                          m=0, local_epochs=1, eta=0.5, xi=1.0, l0=1.5,
                          l_star=0.5)
     plan = theorem3_min_rounds(c3)
-    assert abs(plan.min_rounds - 8.0 / 3.0) <= 1e-15, plan.min_rounds
+    hand = (("theorem1_bound", v1, 0.905, 1e-15),
+            ("theorem2_eta_threshold", v2, 1.0, 0.0),
+            ("theorem3_min_rounds", plan.min_rounds, 8.0 / 3.0, 1e-15))
+    off = [f"{name} {value!r} != {want!r}" for name, value, want, tol in hand
+           if not abs(value - want) <= tol]
 
     rng = np.random.default_rng(707)
+    rises = {"xi": 0, "b": 0}  # steps where a quantity that must fall did not
     # minimum-rounds estimate must fall as the gradient floor xi rises
     done = 0
     while done < 1000:
@@ -397,7 +400,7 @@ def test_criterion_7_theorem_calculators():
                                 l_star=0.5, **base)
             r_min = theorem3_min_rounds(c).min_rounds
             if previous is not None:
-                assert r_min < previous
+                rises["xi"] += not r_min < previous
             previous = r_min
         done += 1
 
@@ -421,13 +424,17 @@ def test_criterion_7_theorem_calculators():
             c = TheoryConstants(l2=l2, b=float(b), eta=eta, **base)
             bound = theorem1_bound(l_re, c)
             if previous is not None:
-                assert bound < previous
+                rises["b"] += not bound < previous
             previous = bound
 
-    report(7, True,
-           "hand values 0.905 / 1.0 / 2.667 exact; minimum-rounds falls in "
-           "xi and the one-round bound falls in b on 1000 random feasible "
-           "sets each")
+    off += [f"{count} steps in {name} do not fall" for name, count in rises.items()
+            if count]
+    detail = ("hand values 0.905 / 1.0 / 2.667 exact; minimum-rounds falls in "
+              "xi and the one-round bound falls in b on 1000 random feasible "
+              "sets each")
+    if off:
+        detail += "; " + "; ".join(off)
+    report(7, not off, detail)
 
 
 def test_criterion_8_runs_are_bitwise_deterministic(tmp_path):

@@ -507,6 +507,16 @@ class TestTheoryCommand:
         path.write_text(self.BASE.replace("eta = 0.1", "eta = fast"))
         assert run_cli("theory", str(path)) == 2
 
+    def test_repeated_key_is_constants_error(self, tmp_path, capsys):
+        # the later value must not win quietly: 0.5 would pass as the step size
+        path = tmp_path / "constants.txt"
+        path.write_text(self.BASE + "eta = 0.5\n")
+        assert run_cli("theory", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fedsc: invalid-constants: line 9: constant 'eta' already set on line 8\n")
+
     def test_infeasible_constants_are_runtime_errors(self, tmp_path):
         path = tmp_path / "constants.txt"
         path.write_text(self.BASE.replace("l2 = 0.0", "l2 = 10.0"))

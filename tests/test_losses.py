@@ -4,6 +4,7 @@ per-sample references in ``reference_losses``."""
 import dataclasses
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,24 +111,27 @@ class TestComputeNormalizers:
         rng = np.random.default_rng(4)
         rel = random_relational(rng, 3, 4, 5, all_valid=False)
         ctx = compute_normalizers(rng.standard_normal((6, 5)), rel)
-        rows, r_scaled = ctx._scaled(rel)
-        arrays = [a for a in rows if isinstance(a, np.ndarray)] + [r_scaled]
+        rows, scaled = ctx.rows, ctx.scaled
+        arrays = [a for a in rows if isinstance(a, np.ndarray)] + [scaled]
         assert len(arrays) == len(rows)
         for a in arrays:
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             rows.positive[0, 0] = 0.0
+        for name in ("relational", "rows", "scaled"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ctx, name, None)
 
     def test_set_arrays_are_built_once_per_set(self):
         # catches a rebuild at every epoch: five epochs' normalizers read the
-        # same array objects, and each context's scaled prototypes come from
-        # the set's rows
+        # same array objects, and each context keeps the set's rows
         rng = np.random.default_rng(5)
         rel = random_relational(rng, 3, 4, 5, all_valid=False)
         first = rel.valid_rows
         for _ in range(5):
             ctx = compute_normalizers(rng.standard_normal((6, 5)), rel)
-            rows, _ = ctx._scaled(rel)
+            rows = ctx.rows
+            assert ctx.rows is rel.valid_rows
             assert rows is first and rel.valid_rows is first
             assert all(a is b for a, b in zip(rows, first))
         valid = rel.valid
@@ -163,15 +167,10 @@ class TestComputeNormalizers:
             compute_normalizers(np.ones((4, 5)), rel)
         for tau in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidArgumentError):
-                SimilarityContext(np.ones((2, 2)), np.ones((2, 2), dtype=bool), tau=tau)
+                SimilarityContext(rel, np.ones((2, 2)), tau=tau)
 
 
 class TestSetShapes:
-    def test_context_mask_must_match_normalizers(self):
-        # a (3, 1) mask would broadcast against a (3, 2) relational set
-        with pytest.raises(DimensionMismatchError):
-            SimilarityContext(np.ones((3, 2)), np.ones((3, 1), dtype=bool), 0.1)
-
     def test_relational_mask_must_match_its_prototypes(self):
         # compute_normalizers would read a (3, 2) grid from r and pass (2, 2) on
         with pytest.raises(DimensionMismatchError):
@@ -240,7 +239,7 @@ class TestRpcl:
         for c in (2, 4, 7):
             r = np.tile(np.array([1.0, 2.0, -1.0]), (c, 1, 1))
             rel = RelationalSet(r, np.ones((c, 1), dtype=bool))
-            ctx = SimilarityContext(np.full((c, 1), 1.3), rel.valid, tau=0.05)
+            ctx = SimilarityContext(rel, np.full((c, 1), 1.3), tau=0.05)
             for loss, grad in self.both_paths(np.array([0.5, 1.0, 0.0]), 1, rel, ctx):
                 assert loss == pytest.approx(math.log(c), abs=1e-12)
                 assert np.allclose(grad, 0.0, atol=1e-12)
@@ -249,9 +248,7 @@ class TestRpcl:
         rng = np.random.default_rng(3)
         rel = random_relational(rng, 3, 2, 4)
         z = rng.standard_normal(4) + 0.5
-        ctx = SimilarityContext(
-            rng.uniform(0.5, 2.0, size=(3, 2)), rel.valid, tau=0.07
-        )
+        ctx = SimilarityContext(rel, rng.uniform(0.5, 2.0, size=(3, 2)), tau=0.07)
         _, grad = rpcl_loss_and_grad(z, 2, rel, ctx)
         h = 1e-7
         for i in range(4):
@@ -265,7 +262,7 @@ class TestRpcl:
     def test_loss_decreases_when_positive_gets_closer(self):
         rng = np.random.default_rng(4)
         rel = random_relational(rng, 3, 1, 4)
-        ctx = SimilarityContext(np.ones((3, 1)), rel.valid, tau=0.05)
+        ctx = SimilarityContext(rel, np.ones((3, 1)), tau=0.05)
         target = rel.r[0, 0]
         for (near, _), (far, _) in zip(self.both_paths(target, 1, rel, ctx),
                                        self.both_paths(-target, 1, rel, ctx)):
@@ -275,7 +272,7 @@ class TestRpcl:
         # class 1 has no valid prototype, and class 2 holds every one
         r = np.ones((2, 1, 3))
         rel = RelationalSet(r, np.array([[False], [True]]))
-        ctx = SimilarityContext(np.ones((2, 1)), np.ones((2, 1), dtype=bool), tau=0.05)
+        ctx = SimilarityContext(rel, np.ones((2, 1)), tau=0.05)
         for label in (1, 2):
             for loss, grad in self.both_paths(np.ones(3), label, rel, ctx):
                 assert loss == 0.0
@@ -284,7 +281,7 @@ class TestRpcl:
     def test_degenerate_feature_raises(self):
         rng = np.random.default_rng(5)
         rel = random_relational(rng, 2, 1, 3)
-        ctx = SimilarityContext(np.ones((2, 1)), rel.valid, tau=0.05)
+        ctx = SimilarityContext(rel, np.ones((2, 1)), tau=0.05)
         with pytest.raises(DegenerateVectorError):
             rpcl_loss_and_grad(np.zeros(3), 1, rel, ctx)
         params = init_params(1, 1, 3, 2)
@@ -295,12 +292,13 @@ class TestRpcl:
         r = np.ones((2, 1, 3))
         r[1, 0] = 0.0
         rel = RelationalSet(r, np.ones((2, 1), dtype=bool))
-        ctx = SimilarityContext(np.ones((2, 1)), rel.valid, tau=0.05)
+        # the reference reads only u and tau of its context, which the batch
+        # path can no longer be given for this set
+        normalizers = SimpleNamespace(u=np.ones((2, 1)), tau=0.05)
         with pytest.raises(DegeneratePrototypeError, match="^zero-norm relational prototype$"):
-            rpcl_loss_and_grad(np.ones(3), 1, rel, ctx)
-        params = init_params(1, 1, 3, 2)
+            rpcl_loss_and_grad(np.ones(3), 1, rel, normalizers)
         with pytest.raises(DegeneratePrototypeError, match="^zero-norm relational prototype$"):
-            total_loss(one_row_batch(params, np.ones(3), 1), rel, None, ctx, params)
+            SimilarityContext(rel, normalizers.u, normalizers.tau)
 
 
 class TestTotalLoss:
@@ -391,18 +389,19 @@ class TestTotalLoss:
     def test_rejects_nonpositive_normalizer_like_reference(self):
         params, batch, rel, consistent, ctx = self.setup_case(seed=7)
         # an invalid entry's normalizer is never used
-        u, valid = ctx.u.copy(), ctx.valid.copy()
+        valid = rel.valid.copy()
         valid[1, 0] = False
+        rel = RelationalSet(rel.r, valid)
+        u = ctx.u.copy()
         u[1, 0] = 0.0
-        out = total_loss(batch, rel, consistent,
-                         SimilarityContext(u, valid, ctx.tau), params)
+        out = total_loss(batch, rel, consistent, SimilarityContext(rel, u, ctx.tau),
+                         params)
         assert np.isfinite(out.rpcl)
         u[0, 1] = 0.0
-        bad = SimilarityContext(u, valid, ctx.tau)
         with pytest.raises(InvalidArgumentError):
-            rpcl_loss_and_grad(batch.z[0], 1, rel, bad)
+            rpcl_loss_and_grad(batch.z[0], 1, rel, SimpleNamespace(u=u, tau=ctx.tau))
         with pytest.raises(InvalidArgumentError):
-            total_loss(batch, rel, consistent, bad, params)
+            SimilarityContext(rel, u, ctx.tau)
 
     def test_invalid_cell_normalizer_unused_in_computed_context(self):
         params, batch, rel, consistent, ctx = self.setup_case(seed=2, partial=True)
@@ -428,19 +427,13 @@ class TestTotalLoss:
         for _ in range(2):
             with pytest.raises(DegeneratePrototypeError):
                 compute_normalizers(batch.z, rel)
-        hand = SimilarityContext(ctx.u.copy(), ctx.valid.copy(), ctx.tau)
         with pytest.raises(DegeneratePrototypeError):
-            total_loss(batch, rel, consistent, hand, params)
-        # a context that leaves the zero-norm cell out does not contrast it
-        valid = ctx.valid.copy()
-        valid[2, 1] = False
-        hand = SimilarityContext(ctx.u, valid, ctx.tau)
-        assert np.isfinite(total_loss(batch, rel, consistent, hand, params).rpcl)
+            SimilarityContext(rel, ctx.u.copy(), ctx.tau)
 
     @pytest.mark.parametrize("partial", [False, True])
     def test_computed_and_hand_built_contexts_agree(self, partial):
         params, batch, rel, consistent, ctx = self.setup_case(seed=10, partial=partial)
-        hand = SimilarityContext(ctx.u.copy(), ctx.valid.copy(), ctx.tau)
+        hand = SimilarityContext(rel, ctx.u.copy(), ctx.tau)
         self.assert_same(total_loss(batch, rel, consistent, ctx, params),
                          total_loss(batch, rel, consistent, hand, params))
 
@@ -448,27 +441,26 @@ class TestTotalLoss:
         # the scaled prototypes kept with a context cannot go stale
         params, batch, rel, consistent, ctx = self.setup_case(seed=13)
         u = ctx.u.copy()
-        hand = SimilarityContext(u, ctx.valid.copy(), ctx.tau)
+        hand = SimilarityContext(rel, u, ctx.tau)
         before = total_loss(batch, rel, consistent, hand, params)
         u *= 2.0
         self.assert_same(before, total_loss(batch, rel, consistent, hand, params))
         with pytest.raises(ValueError):
             hand.u[0, 0] = 1.0
 
-    def test_computed_context_follows_the_relational_set_given(self):
+    def test_context_must_belong_to_the_relational_set_given(self):
+        # a context is made for one set object: an equal copy is another set
         params, batch, rel, consistent, ctx = self.setup_case(seed=11)
-        other = RelationalSet(rel.r[:, ::-1] * 2.0, rel.valid.copy())
-        hand = SimilarityContext(ctx.u.copy(), ctx.valid.copy(), ctx.tau)
-        got = total_loss(batch, other, consistent, ctx, params)
-        self.assert_same(got, total_loss(batch, other, consistent, hand, params))
-        assert got.rpcl != total_loss(batch, rel, consistent, ctx, params).rpcl
+        for other in (RelationalSet(rel.r[:, ::-1] * 2.0, rel.valid.copy()),
+                      RelationalSet(rel.r, rel.valid)):
+            with pytest.raises(InvalidArgumentError, match="another relational set"):
+                total_loss(batch, other, consistent, ctx, params)
 
     def test_leaves_its_inputs_unchanged(self):
         # perfbench's loss probe times total_loss again and again on one batch
         params, batch, rel, consistent, ctx = self.setup_case(seed=12, partial=True)
-        rows, r_scaled = ctx._scaled(rel)
         inputs = (params.flat, batch.inputs_aug, batch.pre1, batch.act1_aug, batch.z_aug,
-                  batch.labels, ctx.u, ctx.valid, *rows[:-1], r_scaled, rel.r,
+                  batch.labels, ctx.u, ctx.valid, *ctx.rows[:-1], ctx.scaled, rel.r,
                   rel.valid, consistent.o, consistent.present)
         before = [a.tobytes() for a in inputs]
         out = total_loss(batch, rel, consistent, ctx, params)
@@ -488,10 +480,9 @@ class TestTotalLoss:
     @pytest.mark.parametrize("grid", [(3, 1), (2, 2)])
     def test_context_must_cover_relational_grid(self, grid):
         # neither grid may reach numpy's indexing or broadcasting
-        params, batch, rel, consistent, _ = self.setup_case()
-        ctx = SimilarityContext(np.ones(grid), np.ones(grid, dtype=bool), 0.1)
+        _, _, rel, _, _ = self.setup_case()
         with pytest.raises(DimensionMismatchError, match="normalizers"):
-            total_loss(batch, rel, consistent, ctx, params)
+            SimilarityContext(rel, np.ones(grid), 0.1)
 
     def test_consistent_must_match_model_classes(self):
         params, batch, rel, _, ctx = self.setup_case()
@@ -510,7 +501,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(5)
         for classes, d in ((2, 4), (3, 5)):
             rel = random_relational(rng, classes, 2, d)
-            ctx = SimilarityContext(np.ones((classes, 2)), rel.valid, 0.1)
+            ctx = SimilarityContext(rel, np.ones((classes, 2)), 0.1)
             with pytest.raises(DimensionMismatchError, match="relational"):
                 total_loss(batch, rel, consistent, ctx, params)
 
@@ -518,14 +509,14 @@ class TestTotalLoss:
         # when every class is contrasted the batch RPCL skips a multiply by
         # 1.0 and a where that keeps every loss; the masked path must agree
         params, batch, rel, consistent, ctx = self.setup_case(seed=15)
-        rows, r_scaled = ctx._scaled(rel)
+        rows, scaled = ctx.rows, ctx.scaled
         assert rows.all_contrasted
         idx = batch.labels - 1
 
         def rpcl(valid_rows):
             grad = np.empty_like(batch.z)
-            scratch = np.empty((3, len(idx), len(r_scaled)))
-            return _rpcl_batch(batch.z, idx, valid_rows, r_scaled, grad, *scratch), grad
+            scratch = np.empty((3, len(idx), len(scaled)))
+            return _rpcl_batch(batch.z, idx, valid_rows, scaled, grad, *scratch), grad
 
         skipped = rpcl(rows)
         masked = rpcl(rows._replace(all_contrasted=False))

@@ -2,7 +2,11 @@
 outside the unit tests: by the library, a demo, a tool, the benchmark or the
 acceptance criteria.  A function must be read outside its own module, so one
 that only its module calls is private; a class may be read by its own module
-too, because the types a public function returns are part of the API."""
+too, because the types a public function returns are part of the API.
+
+A frozen value is written only while it is built or unpickled: the library
+calls ``object.__setattr__`` only inside ``__post_init__`` or
+``__setstate__``."""
 
 import ast
 from pathlib import Path
@@ -61,3 +65,41 @@ def test_every_public_name_is_read(path, reads):
             if n not in elsewhere] == []
     assert [n for n in public_definitions(source, ast.ClassDef)
             if n not in anywhere] == []
+
+
+def frozen_writes_outside_construction(source: str) -> list[int]:
+    """Lines that call ``object.__setattr__`` outside ``__post_init__`` and
+    ``__setstate__``."""
+    lines = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name in ("__post_init__", "__setstate__")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object" and not inside):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
+def test_finds_a_frozen_write_outside_construction():
+    source = ("class A:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "    def __setstate__(self, state):\n"
+              "        object.__setattr__(self, 'x', state)\n"
+              "    def cache(self):\n"
+              "        def inner():\n"
+              "            object.__setattr__(self, 'y', 2)\n"
+              "        object.__setattr__(self, 'z', 3)\n")
+    assert frozen_writes_outside_construction(source) == [8, 9]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
+def test_frozen_values_are_written_only_while_built(path):
+    assert frozen_writes_outside_construction(path.read_text()) == []
